@@ -1,19 +1,23 @@
 //! Chunked streaming ingest of `epoch_seconds<TAB>SQL` query logs.
 //!
 //! [`import_log`](crate::logio::import_log) materializes the whole log text
-//! before parsing — fine for files, wrong for a live trace. [`LogStream`]
-//! accepts the same format as arbitrary byte chunks (any split points,
-//! including mid-line and mid-UTF-8-sequence) and emits parsed queries
-//! incrementally, with three properties the online advisor builds on:
+//! before parsing, with a statement cache that lives for one call and holds
+//! at most the input's distinct texts — fine for files, wrong for a live
+//! trace. [`LogStream`] accepts the same format as arbitrary byte chunks
+//! (any split points, including mid-line and mid-UTF-8-sequence) and emits
+//! parsed queries incrementally, with three properties the online advisor
+//! builds on:
 //!
 //! * **Chunking-invariant**: the emitted `(timestamp, query)` sequence and
 //!   the [`StreamStats`] depend only on the concatenated bytes, never on
 //!   where the chunk boundaries fall. Partial trailing lines are carried in
 //!   a reused buffer until their terminator (or [`LogStream::finish`])
 //!   arrives.
-//! * **Line-compatible with `import_log`**: for valid UTF-8 input the
-//!   per-line accept/skip decisions are byte-for-byte identical, so the
-//!   streaming and batch pipelines agree on every record.
+//! * **Line-compatible with `import_log`**: both classify lines with one
+//!   record grammar (`logio::split_record`) and key their statement caches
+//!   by text, so for valid UTF-8 input the per-line accept/skip decisions
+//!   are identical and the streaming and batch pipelines agree on every
+//!   record.
 //! * **Allocation-amortized**: repeated statement texts hit a bounded
 //!   statement cache (text → parse outcome) and re-emit their interned
 //!   [`QueryId`] without lexing, parsing, or allocating. Logs are dominated
@@ -29,6 +33,7 @@
 //! retained windows once the table exceeds its capacity bound.
 
 use crate::interner::{QueryId, WorkloadInterner};
+use crate::logio::{split_record, Record};
 use crate::parser::parse_query;
 use crate::query::Query;
 use crate::resolve::NameResolver;
@@ -162,9 +167,8 @@ impl LogStream {
         self.carry.clear();
     }
 
-    /// One split-out line. Semantics mirror `import_log` line-for-line:
-    /// trim, skip blanks and `#` comments, split at the first tab, parse
-    /// the timestamp, then the SQL.
+    /// One split-out line, under `import_log`'s record grammar
+    /// ([`split_record`]); invalid UTF-8 is malformed.
     fn process_line(
         &mut self,
         line: &[u8],
@@ -172,21 +176,14 @@ impl LogStream {
         sink: &mut ArrivalSink<'_>,
     ) {
         self.stats.lines += 1;
-        let Ok(text) = std::str::from_utf8(line) else {
-            self.stats.skipped_malformed += 1;
-            return;
-        };
-        let text = text.trim();
-        if text.is_empty() || text.starts_with('#') {
-            return;
-        }
-        let Some((ts, sql)) = text.split_once('\t') else {
-            self.stats.skipped_malformed += 1;
-            return;
-        };
-        let Ok(timestamp) = ts.trim().parse::<u64>() else {
-            self.stats.skipped_malformed += 1;
-            return;
+        let record = std::str::from_utf8(line).map_or(Record::Malformed, split_record);
+        let (timestamp, sql) = match record {
+            Record::Blank => return,
+            Record::Malformed => {
+                self.stats.skipped_malformed += 1;
+                return;
+            }
+            Record::Statement(timestamp, sql) => (timestamp, sql),
         };
         // Fast path: the statement text was seen before (either outcome).
         if let Some(&outcome) = self.cache.get(sql) {
