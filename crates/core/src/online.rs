@@ -3,11 +3,20 @@
 //!
 //! The paper's pipeline is offline — materialize the log, window it,
 //! design once. [`OnlineAdvisor`] runs the same drift machinery *while the
-//! log streams in*: each arrival folds into the current window (a
-//! [`Workload`] for the designer plus a [`WindowAccumulator`] for the
-//! metric, both O(1) per arrival); when the window closes, the inter-window
-//! δ against the previous window is evaluated incrementally
-//! ([`window_delta`]) and compared against Γ.
+//! log streams in*: each arrival folds into the current window's
+//! [`Workload`]; when the window closes, it is sealed once into a
+//! [`WindowVector`], and the inter-window δ against the previous window is
+//! evaluated incrementally ([`window_delta`]) and compared against Γ.
+//!
+//! # Per-arrival cost
+//!
+//! A [`LogStream`] emits one shared `Arc<Query>` per distinct query, and
+//! the open window remembers each `Arc` it has seen by address. A query's
+//! signature is therefore hashed on the first arrival of its `Arc` in a
+//! window, and its representation key is derived once, when the window
+//! seals; every other arrival is one address probe and one weight add.
+//! Callers that pass a fresh `Arc` per arrival stay correct (each one
+//! misses the memo and is merged by signature), they just do not gain.
 //!
 //! # Trigger and hysteresis contract
 //!
@@ -39,11 +48,13 @@
 //! counts, and kill/resume from a [`snapshot`](OnlineAdvisor::snapshot).
 
 use crate::gamma::GammaPolicy;
-use cliffguard_distance::{window_delta, ClauseMask, WindowAccumulator, WindowVector};
+use cliffguard_distance::{window_delta, ClauseMask, WindowVector};
 use cliffguard_resilience::SessionClock;
 use cliffguard_telemetry::{self as telemetry, Level};
 use cliffguard_workload::{LogStream, Query, QuerySignature, Workload};
-use std::collections::{HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Hard cap on how many windows a single arrival may close under a time
@@ -204,13 +215,76 @@ pub struct AdvisorSnapshot {
     pub triggers: Vec<u64>,
 }
 
+/// The open window: its [`Workload`] plus a memo from each arriving
+/// `Arc<Query>`'s address to the entry holding it (see "Per-arrival cost"
+/// in the module docs). Each memo entry pins its `Arc`, so an address
+/// cannot be freed and reused by another query while the memo maps it.
+#[derive(Debug, Default)]
+struct OpenWindow {
+    workload: Workload,
+    by_addr: HashMap<usize, (usize, Arc<Query>), BuildHasherDefault<AddrHasher>>,
+    arrivals: u64,
+}
+
+/// The address memo's hasher: one multiply per key. Heap addresses are
+/// distinct but aligned, so they need their bits spread, not a keyed hash
+/// (halves the memo probe against the default SipHash).
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        let h = (addr as u64 ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl OpenWindow {
+    /// The open window of a snapshot (the memo starts empty).
+    fn restored(workload: Workload) -> Self {
+        Self {
+            arrivals: workload.total_weight() as u64,
+            workload,
+            by_addr: HashMap::default(),
+        }
+    }
+
+    fn add(&mut self, query: &Arc<Query>) {
+        match self.by_addr.entry(Arc::as_ptr(query) as usize) {
+            Entry::Occupied(e) => self.workload.add_to_entry(e.get().0, 1.0),
+            Entry::Vacant(e) => {
+                let index = self.workload.add_indexed(Arc::clone(query), 1.0);
+                e.insert((index, Arc::clone(query)));
+            }
+        }
+        self.arrivals += 1;
+    }
+
+    /// Hands the window's workload out and resets for the next window,
+    /// keeping the memo's allocation.
+    fn take(&mut self) -> Workload {
+        self.by_addr.clear();
+        self.arrivals = 0;
+        std::mem::take(&mut self.workload)
+    }
+}
+
 /// Streaming drift advisor over one ingest session.
 #[derive(Debug)]
 pub struct OnlineAdvisor {
     config: OnlineAdvisorConfig,
     clock: SessionClock,
-    acc: WindowAccumulator,
-    current: Workload,
+    open: OpenWindow,
     window_start_ts: Option<u64>,
     /// ClockTime anchor of the open window: the clock reading when it was
     /// (re-)anchored plus the ms already elapsed at that reading (negative
@@ -232,12 +306,10 @@ pub struct OnlineAdvisor {
 impl OnlineAdvisor {
     /// A fresh advisor.
     pub fn new(config: OnlineAdvisorConfig, clock: SessionClock) -> Self {
-        let mask = config.mask;
         Self {
             config,
             clock,
-            acc: WindowAccumulator::new(mask),
-            current: Workload::new(),
+            open: OpenWindow::default(),
             window_start_ts: None,
             clock_anchor: None,
             last_ts: 0,
@@ -252,10 +324,10 @@ impl OnlineAdvisor {
         }
     }
 
-    /// Rebuilds an advisor from a [`snapshot`](Self::snapshot). The
-    /// accumulator and δ predecessor vector are reconstructed from the
-    /// persisted workloads; raw counts are exact integers, so the rebuilt
-    /// state is bit-identical to the live one. The open window's consumed
+    /// Rebuilds an advisor from a [`snapshot`](Self::snapshot). The δ
+    /// predecessor vector is reconstructed from the persisted workload;
+    /// raw counts are exact integers, so the rebuilt state is
+    /// bit-identical to the live one. The open window's consumed
     /// clock span ([`AdvisorSnapshot::window_elapsed_clock_ms`]) is
     /// re-anchored against `clock`, so ClockTime windows keep their
     /// configured span across a restart rather than restarting it.
@@ -265,12 +337,11 @@ impl OnlineAdvisor {
             .window_elapsed_clock_ms
             .map(|elapsed| (clock.now_ms(), i128::from(elapsed)));
         Self {
-            acc: WindowAccumulator::from_workload(&s.current, mask),
             prev_vector: s
                 .prev
                 .as_ref()
                 .map(|w| WindowVector::from_workload(w, mask)),
-            current: s.current,
+            open: OpenWindow::restored(s.current),
             window_start_ts: s.window_start_ts,
             clock_anchor,
             last_ts: s.last_ts,
@@ -290,7 +361,7 @@ impl OnlineAdvisor {
     pub fn snapshot(&self) -> AdvisorSnapshot {
         AdvisorSnapshot {
             window_index: self.window_index,
-            current: self.current.clone(),
+            current: self.open.workload.clone(),
             window_start_ts: self.window_start_ts,
             window_elapsed_clock_ms: self.clock_anchor.map(|(reading, offset)| {
                 let elapsed = i128::from(self.clock.now_ms().saturating_sub(reading)) + offset;
@@ -371,10 +442,9 @@ impl OnlineAdvisor {
             self.clock_anchor = Some((self.clock.now_ms(), 0));
         }
         self.last_ts = timestamp;
-        self.acc.observe(query);
-        self.current.add(Arc::clone(query), 1.0);
+        self.open.add(query);
         if let WindowPolicy::Count(n) = self.config.window {
-            if self.acc.arrivals() >= n.max(1) as f64 {
+            if self.open.arrivals >= n.max(1) as u64 {
                 audits.push(self.close_window());
             }
         }
@@ -383,12 +453,14 @@ impl OnlineAdvisor {
 
     /// Closes the open window if it holds any arrivals (end of stream).
     pub fn finish(&mut self) -> Option<WindowAudit> {
-        (self.acc.arrivals() > 0.0).then(|| self.close_window())
+        (self.open.arrivals > 0).then(|| self.close_window())
     }
 
     fn close_window(&mut self) -> WindowAudit {
-        let vector = self.acc.take_vector();
-        let closed = std::mem::take(&mut self.current);
+        let closed = self.open.take();
+        // Counts are integer sums, so the sealed vector does not depend on
+        // how the window's arrivals were grouped.
+        let vector = WindowVector::from_workload(&closed, self.config.mask);
         let index = self.window_index;
         self.window_index += 1;
 
@@ -492,7 +564,7 @@ impl OnlineAdvisor {
     /// keep-set for [`compact_stream`](Self::compact_stream).
     pub fn retained_signatures(&self) -> HashSet<QuerySignature> {
         let mut keep = HashSet::new();
-        for w in std::iter::once(&self.current)
+        for w in std::iter::once(&self.open.workload)
             .chain(self.prev.iter())
             .chain(self.history.iter())
         {
@@ -571,7 +643,7 @@ impl OnlineAdvisor {
 
     /// Arrivals in the open (not yet closed) window.
     pub fn open_arrivals(&self) -> u64 {
-        self.acc.arrivals() as u64
+        self.open.arrivals
     }
 
     /// Retained past δ values, oldest first.
@@ -890,6 +962,93 @@ mod tests {
         let pool = adv.design_pool();
         assert_eq!(pool.len(), 2, "pool must dedupe by signature");
         assert!(adv.last_window().is_some());
+    }
+
+    #[test]
+    fn memo_never_confuses_a_reused_address() {
+        // Each arrival is a fresh `Arc` dropped right after `observe`, so
+        // the allocator is free to hand the next query the same address.
+        // The memo pins every `Arc` it keys, so no address can come back
+        // as a different query within a window.
+        let mut adv = OnlineAdvisor::new(config(1000), SessionClock::virtual_clock());
+        for i in 0..999u64 {
+            let sel: &[u32] = if i % 3 == 0 { &[1, 2] } else { &[3] };
+            let _ = adv.observe(i, &q(sel));
+        }
+        let audit = adv.finish().expect("the window holds arrivals");
+        assert_eq!(audit.arrivals, 999);
+        let w = adv.last_window().expect("closed");
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.weight_of(&q(&[1, 2])), 333.0);
+        assert_eq!(w.weight_of(&q(&[3])), 666.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The memo is invisible: over arrivals that share `Arc`s (as a
+        /// stream emits them), pass fresh ones (dropped after `observe`),
+        /// or alias one signature under two `Arc`s, every audit, every
+        /// closed window (entry order, weight bits, the `Arc` each entry
+        /// keeps) and a mid-stream snapshot/restore match a per-arrival
+        /// reference.
+        #[test]
+        fn memo_matches_a_per_arrival_reference(
+            picks in proptest::collection::vec((0usize..5, 0u8..2), 1..120),
+            window in 1usize..9,
+            cut in 0usize..120,
+        ) {
+            let shared: Vec<Arc<Query>> = vec![
+                q(&[1, 2]),
+                q(&[3]),
+                // Same signature as the first, different `Arc` and text.
+                Arc::new(QueryBuilder::new(TableId(0)).select(&[1, 2]).raw_sql("x").build()),
+                q(&[8, 9]),
+                q(&[1, 2, 3]),
+            ];
+            let cfg = config(window);
+            let mut adv = OnlineAdvisor::new(cfg.clone(), SessionClock::virtual_clock());
+            // The reference folds each arrival with `Workload::add`, hashing
+            // its signature every time.
+            let mut reference = Workload::new();
+            let mut arrivals = 0u64;
+            let mut prev_vector: Option<WindowVector> = None;
+            for (i, &(k, fresh)) in picks.iter().enumerate() {
+                if i == cut {
+                    let snap = adv.snapshot();
+                    adv = OnlineAdvisor::restore(cfg.clone(), SessionClock::virtual_clock(), snap);
+                }
+                let query = if fresh == 1 {
+                    Arc::new((*shared[k]).clone())
+                } else {
+                    Arc::clone(&shared[k])
+                };
+                reference.add(Arc::clone(&query), 1.0);
+                arrivals += 1;
+                let audits = adv.observe(i as u64, &query);
+                drop(query);
+                if arrivals < window as u64 {
+                    proptest::prop_assert!(audits.is_empty());
+                    continue;
+                }
+                proptest::prop_assert_eq!(audits.len(), 1);
+                let want = std::mem::take(&mut reference);
+                arrivals = 0;
+                let vector = WindowVector::from_workload(&want, cfg.mask);
+                let delta = prev_vector.as_ref().map(|p| window_delta(p, &vector, N));
+                proptest::prop_assert_eq!(audits[0].arrivals, window as u64);
+                proptest::prop_assert_eq!(audits[0].distinct, vector.support().len() as u64);
+                proptest::prop_assert_eq!(audits[0].delta.map(f64::to_bits), delta.map(f64::to_bits));
+                prev_vector = Some(vector);
+                let got = adv.last_window().expect("a window closed");
+                proptest::prop_assert_eq!(got.len(), want.len());
+                for ((gq, gw), (wq, ww)) in got.iter().zip(want.iter()) {
+                    proptest::prop_assert!(Arc::ptr_eq(gq, wq));
+                    proptest::prop_assert_eq!(gw.to_bits(), ww.to_bits());
+                }
+            }
+            proptest::prop_assert_eq!(adv.open_arrivals(), arrivals);
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * [`NeighborhoodSampler`] — Appendix B / Algorithm 4: efficiently draws
 //!   perturbed workloads at a requested distance from `W0`, the primitive
 //!   behind CliffGuard's neighborhood exploration.
-//! * [`WindowAccumulator`] / [`window_delta`] — incremental per-window
-//!   sparse vectors for streaming ingest: O(1) per arrival, bit-
-//!   reproducible inter-window δ for the online drift trigger.
+//! * [`WindowVector`] / [`window_delta`] — per-window sparse vectors for
+//!   streaming ingest, sealed once per closed window: bit-reproducible
+//!   inter-window δ for the online drift trigger.
 //!
 //! The requirements R1–R4 the paper states for a usable metric (soundness,
 //! intra-query similarity, symmetry, triangle property) are covered by this
@@ -36,6 +36,6 @@ mod vector;
 pub use euclidean::{DeltaEuclidean, DeltaSeparate};
 pub use latency_aware::DeltaLatency;
 pub use metric::{ClauseMask, WorkloadDistance};
-pub use online::{window_delta, WindowAccumulator, WindowVector};
+pub use online::{window_delta, WindowVector};
 pub use sampler::{NeighborhoodSampler, SampleError};
 pub use vector::{diff_support, ReprKey};

@@ -1,18 +1,20 @@
-//! Incremental per-window workload vectors for streaming δ.
+//! Sealed per-window workload vectors for streaming δ.
 //!
 //! The batch metric ([`DeltaEuclidean`](crate::DeltaEuclidean)) rescans two
-//! whole workloads per evaluation. A streaming ingester instead folds each
-//! arrival into a [`WindowAccumulator`] in O(1), seals the window into a
-//! [`WindowVector`] (a sorted sparse support of **raw counts**), and
-//! evaluates the inter-window δ with [`window_delta`] — a sorted-merge of
-//! the two supports feeding the same Eq. (9) quadratic form.
+//! whole workloads per evaluation. A streaming ingester instead seals each
+//! closed window once into a [`WindowVector`] (a sorted sparse support of
+//! **raw counts**), keeps it for the next close, and evaluates the
+//! inter-window δ with [`window_delta`] — a sorted-merge of the two supports
+//! feeding the same Eq. (9) quadratic form. The window's arrivals are
+//! aggregated by signature in its [`Workload`] as they come, so sealing
+//! derives one representation key per distinct query, not per arrival.
 //!
 //! # Determinism
 //!
-//! Raw counts are sums of exactly-representable integers, so the
-//! accumulated support is **bit-identical** for any arrival grouping —
-//! live streaming, chunked replay at any chunk size, or a rebuild from a
-//! persisted [`Workload`] whose entries were pre-aggregated by signature.
+//! Raw counts are sums of exactly-representable integers, so the sealed
+//! support is **bit-identical** for any arrival grouping — live streaming,
+//! chunked replay at any chunk size, or a persisted [`Workload`] restored
+//! after a kill.
 //! Normalization divides each count by the window total once, in the
 //! canonical sorted-key order, so `window_delta` is bit-reproducible
 //! across runs, chunkings, thread counts, and kill/resume.
@@ -25,79 +27,8 @@
 use crate::euclidean::quadratic_form;
 use crate::metric::ClauseMask;
 use crate::vector::ReprKey;
-use cliffguard_workload::{Query, Workload};
+use cliffguard_workload::Workload;
 use std::collections::HashMap;
-
-/// Accumulates one window's sparse representation support, arrival by
-/// arrival.
-#[derive(Debug, Clone)]
-pub struct WindowAccumulator {
-    mask: ClauseMask,
-    counts: HashMap<ReprKey, f64>,
-    arrivals: f64,
-}
-
-impl WindowAccumulator {
-    /// An empty accumulator under the given clause mask.
-    pub fn new(mask: ClauseMask) -> Self {
-        Self {
-            mask,
-            counts: HashMap::new(),
-            arrivals: 0.0,
-        }
-    }
-
-    /// An empty accumulator under the paper's default `SWGO` mask.
-    pub fn swgo() -> Self {
-        Self::new(ClauseMask::SWGO)
-    }
-
-    /// Folds one arrival (weight 1) into the window.
-    pub fn observe(&mut self, query: &Query) {
-        self.observe_weighted(query, 1.0);
-    }
-
-    /// Folds `weight` arrivals of `query` at once — the rebuild path for a
-    /// window persisted as a [`Workload`] (whose entries aggregate repeats
-    /// by signature). Integer weights keep the support exact.
-    pub fn observe_weighted(&mut self, query: &Query, weight: f64) {
-        *self
-            .counts
-            .entry(ReprKey::union_of(query, self.mask))
-            .or_insert(0.0) += weight;
-        self.arrivals += weight;
-    }
-
-    /// Arrivals folded in so far (sum of weights).
-    pub fn arrivals(&self) -> f64 {
-        self.arrivals
-    }
-
-    /// Distinct representation keys so far.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Seals the window into its canonical sorted vector and resets the
-    /// accumulator for the next window (keeping the allocation).
-    pub fn take_vector(&mut self) -> WindowVector {
-        let mut support: Vec<(ReprKey, f64)> = self.counts.drain().collect();
-        support.sort_by(|a, b| a.0.cmp(&b.0));
-        let total = self.arrivals;
-        self.arrivals = 0.0;
-        WindowVector { support, total }
-    }
-
-    /// Rebuilds the accumulator state of a whole window from its persisted
-    /// [`Workload`] form.
-    pub fn from_workload(workload: &Workload, mask: ClauseMask) -> Self {
-        let mut acc = Self::new(mask);
-        for (q, w) in workload.iter() {
-            acc.observe_weighted(q, w);
-        }
-        acc
-    }
-}
 
 /// One sealed window: sorted `(representation, raw count)` support plus the
 /// window total.
@@ -123,9 +54,19 @@ impl WindowVector {
         self.support.is_empty() || self.total <= 0.0
     }
 
-    /// Builds the sealed vector of `workload` directly.
+    /// Seals `workload` (raw weights = arrival counts) under a clause
+    /// mask: one representation key per entry, counts summed per key,
+    /// support sorted by key. Integer weights keep the support exact.
     pub fn from_workload(workload: &Workload, mask: ClauseMask) -> Self {
-        WindowAccumulator::from_workload(workload, mask).take_vector()
+        let mut counts: HashMap<ReprKey, f64> = HashMap::new();
+        let mut total = 0.0;
+        for (q, w) in workload.iter() {
+            *counts.entry(ReprKey::union_of(q, mask)).or_insert(0.0) += w;
+            total += w;
+        }
+        let mut support: Vec<(ReprKey, f64)> = counts.into_iter().collect();
+        support.sort_by(|a, b| a.0.cmp(&b.0));
+        WindowVector { support, total }
     }
 
     /// This window's normalized coordinate for `key` (0 when absent).
@@ -186,7 +127,7 @@ mod tests {
     use super::*;
     use crate::metric::WorkloadDistance;
     use crate::DeltaEuclidean;
-    use cliffguard_workload::{QueryBuilder, TableId};
+    use cliffguard_workload::{Query, QueryBuilder, TableId};
 
     const N: usize = 16;
 
@@ -194,12 +135,18 @@ mod tests {
         QueryBuilder::new(TableId(0)).select(sel).build()
     }
 
-    fn vec_of(entries: &[(&[u32], f64)]) -> WindowVector {
-        let mut acc = WindowAccumulator::swgo();
-        for &(sel, w) in entries {
-            acc.observe_weighted(&q(sel), w);
+    /// One workload per arrival sequence, one `add` per arrival.
+    fn arrivals<'a>(queries: impl IntoIterator<Item = &'a Query>) -> Workload {
+        let mut w = Workload::new();
+        for query in queries {
+            w.add(query.clone().into(), 1.0);
         }
-        acc.take_vector()
+        w
+    }
+
+    fn vec_of(entries: &[(&[u32], f64)]) -> WindowVector {
+        let w = Workload::from_queries(entries.iter().map(|&(sel, wt)| (q(sel), wt)));
+        WindowVector::from_workload(&w, ClauseMask::SWGO)
     }
 
     #[test]
@@ -211,16 +158,11 @@ mod tests {
 
     #[test]
     fn accumulation_order_is_invisible() {
-        let mut fwd = WindowAccumulator::swgo();
-        let mut rev = WindowAccumulator::swgo();
         let queries: Vec<Query> = (0..40).map(|i| q(&[i % 7, (i * 3) % 11])).collect();
-        for query in &queries {
-            fwd.observe(query);
-        }
-        for query in queries.iter().rev() {
-            rev.observe(query);
-        }
-        let (a, b) = (fwd.take_vector(), rev.take_vector());
+        let fwd = arrivals(&queries);
+        let rev = arrivals(queries.iter().rev());
+        let a = WindowVector::from_workload(&fwd, ClauseMask::SWGO);
+        let b = WindowVector::from_workload(&rev, ClauseMask::SWGO);
         assert_eq!(a, b, "raw-count supports must be bit-identical");
         let other = vec_of(&[(&[9, 10], 5.0)]);
         assert_eq!(
@@ -231,32 +173,32 @@ mod tests {
 
     #[test]
     fn rebuild_from_workload_matches_live_accumulation() {
-        let mut live = WindowAccumulator::swgo();
-        let mut w = Workload::new();
-        for i in 0..30 {
-            let query = q(&[i % 5, (i * 2) % 9]);
-            live.observe(&query);
-            w.add(query.into(), 1.0);
+        // Live: one `add` per arrival. Rebuilt: the same counts,
+        // pre-aggregated and entered in another order, as a restored
+        // snapshot would hold them.
+        let queries: Vec<Query> = (0..30).map(|i| q(&[i % 5, (i * 2) % 9])).collect();
+        let live = arrivals(&queries);
+        let mut rebuilt = Workload::new();
+        let entries: Vec<_> = live.iter().collect();
+        for (query, count) in entries.into_iter().rev() {
+            rebuilt.add(query.clone(), count);
         }
-        let rebuilt = WindowVector::from_workload(&w, ClauseMask::SWGO);
-        assert_eq!(live.take_vector(), rebuilt);
+        assert_eq!(
+            WindowVector::from_workload(&live, ClauseMask::SWGO),
+            WindowVector::from_workload(&rebuilt, ClauseMask::SWGO)
+        );
     }
 
     #[test]
     fn agrees_with_the_batch_metric() {
-        let mut wa = Workload::new();
-        let mut wb = Workload::new();
-        let mut aa = WindowAccumulator::swgo();
-        let mut ab = WindowAccumulator::swgo();
-        for i in 0..25u32 {
-            let qa = q(&[i % 4, 8 + i % 3]);
-            let qb = q(&[i % 6, 4 + i % 5]);
-            aa.observe(&qa);
-            ab.observe(&qb);
-            wa.add(qa.into(), 1.0);
-            wb.add(qb.into(), 1.0);
-        }
-        let online = window_delta(&aa.take_vector(), &ab.take_vector(), N);
+        let qa: Vec<Query> = (0..25u32).map(|i| q(&[i % 4, 8 + i % 3])).collect();
+        let qb: Vec<Query> = (0..25u32).map(|i| q(&[i % 6, 4 + i % 5])).collect();
+        let (wa, wb) = (arrivals(&qa), arrivals(&qb));
+        let online = window_delta(
+            &WindowVector::from_workload(&wa, ClauseMask::SWGO),
+            &WindowVector::from_workload(&wb, ClauseMask::SWGO),
+            N,
+        );
         let batch = DeltaEuclidean::new(N).distance(&wa, &wb);
         assert!(
             (online - batch).abs() < 1e-12,
@@ -266,7 +208,7 @@ mod tests {
 
     #[test]
     fn empty_windows_match_batch_semantics() {
-        let empty = WindowAccumulator::swgo().take_vector();
+        let empty = WindowVector::from_workload(&Workload::new(), ClauseMask::SWGO);
         assert!(empty.is_empty());
         let single = vec_of(&[(&[1], 2.0)]);
         let multi = vec_of(&[(&[1], 1.0), (&[2, 3], 1.0)]);
@@ -281,19 +223,5 @@ mod tests {
         let online = window_delta(&empty, &multi, N);
         assert!((online - batch).abs() < 1e-12);
         assert_eq!(window_delta(&empty, &empty, N), 0.0);
-    }
-
-    #[test]
-    fn take_vector_resets_for_the_next_window() {
-        let mut acc = WindowAccumulator::swgo();
-        acc.observe(&q(&[1]));
-        let first = acc.take_vector();
-        assert_eq!(first.total(), 1.0);
-        assert_eq!(acc.arrivals(), 0.0);
-        assert_eq!(acc.distinct(), 0);
-        acc.observe(&q(&[2]));
-        let second = acc.take_vector();
-        assert_eq!(second.total(), 1.0);
-        assert_ne!(first, second);
     }
 }

@@ -51,18 +51,36 @@ impl Workload {
 
     /// Adds `weight` occurrences of `query` (accumulating if present).
     pub fn add(&mut self, query: Arc<Query>, weight: f64) {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weights must be positive"
-        );
+        self.add_indexed(query, weight);
+    }
+
+    /// [`add`](Self::add), returning the index of the entry that holds
+    /// `query`. Entries are only ever appended, so the index stays valid
+    /// for [`add_to_entry`](Self::add_to_entry) until the next
+    /// [`retain_column_referencing`](Self::retain_column_referencing).
+    pub fn add_indexed(&mut self, query: Arc<Query>, weight: f64) -> usize {
+        assert_positive(weight);
         let sig = query.signature();
         match self.index.get(&sig) {
-            Some(&i) => self.entries[i].weight += weight,
+            Some(&i) => {
+                self.entries[i].weight += weight;
+                i
+            }
             None => {
-                self.index.insert(sig, self.entries.len());
+                let i = self.entries.len();
+                self.index.insert(sig, i);
                 self.entries.push(WeightedQuery { query, weight });
+                i
             }
         }
+    }
+
+    /// Adds `weight` occurrences to the entry at `index` (from
+    /// [`add_indexed`](Self::add_indexed)) without re-hashing its query:
+    /// the same weight sum `add` would produce for that query.
+    pub fn add_to_entry(&mut self, index: usize, weight: f64) {
+        assert_positive(weight);
+        self.entries[index].weight += weight;
     }
 
     /// Number of *distinct* queries.
@@ -195,6 +213,13 @@ impl Workload {
     }
 }
 
+fn assert_positive(weight: f64) {
+    assert!(
+        weight.is_finite() && weight > 0.0,
+        "weights must be positive"
+    );
+}
+
 impl FromIterator<(Query, f64)> for Workload {
     fn from_iter<I: IntoIterator<Item = (Query, f64)>>(iter: I) -> Self {
         Workload::from_queries(iter)
@@ -221,6 +246,31 @@ mod tests {
         assert_eq!(w.total_weight(), 6.0);
         assert_eq!(w.weight_of(&q(&[1])), 5.0);
         assert_eq!(w.weight_of(&q(&[9])), 0.0);
+    }
+
+    #[test]
+    fn add_to_entry_matches_add() {
+        let mut by_add = Workload::new();
+        let mut by_index = Workload::new();
+        let a = Arc::new(q(&[1]));
+        let b = Arc::new(q(&[2]));
+        assert_eq!(by_index.add_indexed(Arc::clone(&a), 1.0), 0);
+        assert_eq!(by_index.add_indexed(Arc::clone(&b), 1.0), 1);
+        // A second `Arc` of an existing query lands on its entry.
+        assert_eq!(by_index.add_indexed(Arc::new(q(&[1])), 0.5), 0);
+        for (query, w) in [(&a, 1.0), (&b, 1.0), (&a, 0.5)] {
+            by_add.add(Arc::clone(query), w);
+        }
+        for _ in 0..3 {
+            by_index.add_to_entry(1, 1.0);
+            by_add.add(Arc::clone(&b), 1.0);
+        }
+        let entries = |w: &Workload| -> Vec<(u64, u64)> {
+            w.iter()
+                .map(|(q, wt)| (q.signature().0, wt.to_bits()))
+                .collect()
+        };
+        assert_eq!(entries(&by_index), entries(&by_add));
     }
 
     #[test]

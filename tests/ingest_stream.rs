@@ -193,3 +193,45 @@ fn seeds_vary_the_tape_but_reruns_are_stable() {
     assert_eq!(audit_lines(&a, 512), audit_lines(&a, 512));
     assert_eq!(audit_lines(&b, 512), audit_lines(&b, 512));
 }
+
+/// The audit transcript of windows that straddle the tape's regime cycle
+/// (57 arrivals against 64-arrival windows, auto Γ): non-trivial δ and Γ
+/// bit patterns on every close. The expected lines were recorded when the
+/// advisor still derived each arrival's signature and representation key
+/// one arrival at a time, so they pin the open window's per-window memo
+/// to that result bit for bit.
+const STRADDLING_TRANSCRIPT: [&str; 14] = [
+    "W0 arrivals=57 distinct=4 delta_bits=- gamma_bits=0000000000000000 trigger=0 armed=1 cooldown=0 span=0..3150",
+    "W1 arrivals=57 distinct=4 delta_bits=3f0e41b6b8d97851 gamma_bits=0000000000000000 trigger=1 armed=0 cooldown=1 span=3206..6356",
+    "W2 arrivals=57 distinct=4 delta_bits=3ef42bcf25e65036 gamma_bits=3f16b1490aa31a3d trigger=0 armed=0 cooldown=0 span=6412..9562",
+    "W3 arrivals=57 distinct=4 delta_bits=3f042bcf25e65036 gamma_bits=3f16b1490aa31a3d trigger=0 armed=1 cooldown=0 span=9618..12768",
+    "W4 arrivals=57 distinct=8 delta_bits=3fb2e03f08e7566f gamma_bits=3f16b1490aa31a3d trigger=1 armed=0 cooldown=1 span=12825..15975",
+    "W5 arrivals=57 distinct=4 delta_bits=3fb1ade5aed7bc8e gamma_bits=3fbc505e8d5b01a6 trigger=0 armed=0 cooldown=0 span=16031..19181",
+    "W6 arrivals=57 distinct=4 delta_bits=0000000000000000 gamma_bits=3fbc505e8d5b01a6 trigger=0 armed=1 cooldown=0 span=19237..22387",
+    "W7 arrivals=57 distinct=4 delta_bits=3efe41b6b8d97851 gamma_bits=3fbc505e8d5b01a6 trigger=0 armed=1 cooldown=0 span=22443..25593",
+    "W8 arrivals=57 distinct=5 delta_bits=3f3104f6c7fa53ae gamma_bits=3fbc505e8d5b01a6 trigger=0 armed=1 cooldown=0 span=25650..28800",
+    "W9 arrivals=57 distinct=6 delta_bits=3fd0d1bf8c0418e6 gamma_bits=3fbc505e8d5b01a6 trigger=1 armed=0 cooldown=1 span=28856..32006",
+    "W10 arrivals=57 distinct=6 delta_bits=3f042bcf25e65036 gamma_bits=3fd93a9f52062559 trigger=0 armed=0 cooldown=0 span=32062..35212",
+    "W11 arrivals=57 distinct=6 delta_bits=3f0e41b6b8d97851 gamma_bits=3fd93a9f52062559 trigger=0 armed=1 cooldown=0 span=35268..38418",
+    "W12 arrivals=57 distinct=6 delta_bits=3ef42bcf25e65036 gamma_bits=3fd93a9f52062559 trigger=0 armed=1 cooldown=0 span=38475..41625",
+    "W13 arrivals=27 distinct=6 delta_bits=3f34679352c862ea gamma_bits=3fd93a9f52062559 trigger=0 armed=1 cooldown=0 span=41681..43143",
+];
+
+#[test]
+fn straddling_windows_match_the_recorded_transcript() {
+    let tape = LogTape::generate(LogTapeConfig::default());
+    let mut config = OnlineAdvisorConfig::new(tape.n_columns());
+    config.window = WindowPolicy::Count(57);
+    let mut advisor = OnlineAdvisor::new(config, SessionClock::virtual_clock());
+    let mut stream = LogStream::new();
+    let mut lines: Vec<String> = Vec::new();
+    {
+        let mut sink = |ts: u64, _id: QueryId, q: &Arc<Query>| {
+            lines.extend(advisor.observe(ts, q).iter().map(|a| a.line()));
+        };
+        stream.feed(tape.text().as_bytes(), tape.resolver(), &mut sink);
+        stream.finish(tape.resolver(), &mut sink);
+    }
+    lines.extend(advisor.finish().iter().map(|a| a.line()));
+    assert_eq!(lines, STRADDLING_TRANSCRIPT);
+}
