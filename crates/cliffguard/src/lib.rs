@@ -96,8 +96,8 @@ pub mod prelude {
         FallibleDesigner, GreedyDesigner, IlpSelector, NominalDesigner, Reliable, RowCandidates,
     };
     pub use cliffguard_distance::{
-        ClauseMask, DeltaEuclidean, DeltaLatency, DeltaSeparate, NeighborhoodSampler,
-        WorkloadDistance,
+        AnchoredDistance, ClauseMask, DeltaEuclidean, DeltaLatency, DeltaSeparate,
+        NeighborhoodSampler, WorkloadDistance,
     };
     pub use cliffguard_parallel::{current_threads, set_threads};
     pub use cliffguard_resilience::{

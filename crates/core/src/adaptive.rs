@@ -24,14 +24,18 @@ use std::hash::Hash;
 /// Window-granular adaptive indexing: accumulate the structures recent
 /// queries would crack into existence; evict by recency under the budget.
 pub struct AdaptiveIndexingStrategy<S> {
-    /// Structure → last window index in which a query wanted it.
-    seen: HashMap<S, usize>,
+    /// Structure → (last window index in which a query wanted it, the
+    /// sequence number of its first sighting). The sequence number breaks
+    /// recency ties, so the ranking never depends on hash-map order.
+    seen: HashMap<S, (usize, u64)>,
+    next_seq: u64,
 }
 
 impl<S> Default for AdaptiveIndexingStrategy<S> {
     fn default() -> Self {
         Self {
             seen: HashMap::new(),
+            next_seq: 0,
         }
     }
 }
@@ -57,12 +61,19 @@ where
         // tailored structures (on-demand creation, no lookahead).
         for (q, _) in ctx.current.iter() {
             for s in ctx.engine.ideal_design_for(q).structures() {
-                self.seen.insert(s, ctx.window_index);
+                let next_seq = &mut self.next_seq;
+                let entry = self.seen.entry(s).or_insert_with(|| {
+                    *next_seq += 1;
+                    (ctx.window_index, *next_seq)
+                });
+                entry.0 = ctx.window_index;
             }
         }
-        // Keep the most recently wanted structures within the budget.
-        let mut ranked: Vec<(&S2<E>, usize)> = self.seen.iter().map(|(s, &w)| (s, w)).collect();
-        ranked.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
+        // Keep the most recently wanted structures within the budget;
+        // among equally recent ones, the first seen.
+        let mut ranked: Vec<(&S2<E>, (usize, u64))> =
+            self.seen.iter().map(|(s, &rank)| (s, rank)).collect();
+        ranked.sort_by_key(|&(_, (w, seq))| (std::cmp::Reverse(w), seq));
         let mut chosen = Vec::new();
         let mut remaining = ctx.budget;
         for (s, _) in ranked {
@@ -76,7 +87,7 @@ where
         // they fall `RETENTION` windows behind (bounded memory).
         const RETENTION: usize = 6;
         let cutoff = ctx.window_index.saturating_sub(RETENTION);
-        self.seen.retain(|_, w| *w >= cutoff);
+        self.seen.retain(|_, (w, _)| *w >= cutoff);
         E::Design::from_structures(chosen)
     }
 }

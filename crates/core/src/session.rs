@@ -626,10 +626,19 @@ where
 
     // ----------------------------------------------------- internals --
 
+    /// Line 2 of Algorithm 2, for both a fresh run and a resume. Its wall
+    /// time goes to the `sample_ms` histogram (metrics only, no trace
+    /// event, like `designer_call_ms`).
     fn sample(&self, w0: &Workload, pool: &[Arc<Query>]) -> (Vec<Workload>, u64) {
         let cfg = &self.config;
+        let wall0 = telemetry::metrics_enabled().then(Instant::now);
         let mut sampler = NeighborhoodSampler::new(self.metric, pool.to_vec(), cfg.seed);
         let neighborhood = sampler.sample_neighborhood(w0, cfg.gamma, cfg.n_samples);
+        if let Some(wall0) = wall0 {
+            if let Some(h) = telemetry::histogram("cliffguard.core.sample_ms") {
+                h.record(telemetry::elapsed_ms(wall0));
+            }
+        }
         (neighborhood, sampler.rng_words_consumed())
     }
 

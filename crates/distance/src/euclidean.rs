@@ -8,17 +8,24 @@
 //! absolute value. The sparse evaluation is `O(T²·n)` in the number of
 //! distinct representations `T`, exactly as the paper claims.
 
-use crate::metric::{ClauseMask, WorkloadDistance};
+use crate::anchor::{EuclideanAnchor, Repr};
+use crate::metric::{AnchoredDistance, ClauseMask, WorkloadDistance};
 use crate::vector::{diff_support, ReprKey};
-use cliffguard_workload::Workload;
+use cliffguard_workload::{Query, Workload};
+use std::sync::Arc;
+
+/// The denominator `2·n` (per representation coordinate) that scales a
+/// Hamming distance between keys of `key`'s kind into `S`.
+pub(crate) fn s_norm(key: &ReprKey, n_columns: usize) -> f64 {
+    2.0 * (n_columns * key.coords_per_column()) as f64
+}
 
 /// Evaluates the quadratic form over a sparse difference support.
 pub(crate) fn quadratic_form(diff: &[(ReprKey, f64)], n_columns: usize) -> f64 {
     if diff.is_empty() {
         return 0.0;
     }
-    let coords = diff[0].0.coords_per_column();
-    let norm = 2.0 * (n_columns * coords) as f64;
+    let norm = s_norm(&diff[0].0, n_columns);
     let mut total = 0.0;
     for i in 0..diff.len() {
         for j in (i + 1)..diff.len() {
@@ -51,12 +58,28 @@ impl DeltaEuclidean {
     pub fn with_mask(n_columns: usize, mask: ClauseMask) -> Self {
         Self { n_columns, mask }
     }
+
+    pub(crate) fn anchor<'a>(
+        &self,
+        w0: &Workload,
+        candidates: &'a [Arc<Query>],
+    ) -> EuclideanAnchor<'a> {
+        EuclideanAnchor::new(Repr::Union(self.mask), self.n_columns, w0, candidates)
+    }
 }
 
 impl WorkloadDistance for DeltaEuclidean {
     fn distance(&self, a: &Workload, b: &Workload) -> f64 {
         let diff = diff_support(a, b, |q| ReprKey::union_of(q, self.mask));
         quadratic_form(&diff, self.n_columns)
+    }
+
+    fn anchored<'a>(
+        &'a self,
+        w0: &'a Workload,
+        candidates: &'a [Arc<Query>],
+    ) -> Box<dyn AnchoredDistance + 'a> {
+        Box::new(self.anchor(w0, candidates))
     }
 
     fn name(&self) -> String {
@@ -84,6 +107,19 @@ impl WorkloadDistance for DeltaSeparate {
     fn distance(&self, a: &Workload, b: &Workload) -> f64 {
         let diff = diff_support(a, b, ReprKey::separate_of);
         quadratic_form(&diff, self.n_columns)
+    }
+
+    fn anchored<'a>(
+        &'a self,
+        w0: &'a Workload,
+        candidates: &'a [Arc<Query>],
+    ) -> Box<dyn AnchoredDistance + 'a> {
+        Box::new(EuclideanAnchor::new(
+            Repr::Separate,
+            self.n_columns,
+            w0,
+            candidates,
+        ))
     }
 
     fn name(&self) -> String {

@@ -8,9 +8,11 @@
 //! finds `ω = 0.2` gives a monotonic relationship (Figure 16b) while
 //! `ω = 0.1` does not (Figure 16a).
 
+use crate::anchor::EuclideanAnchor;
 use crate::euclidean::DeltaEuclidean;
-use crate::metric::WorkloadDistance;
+use crate::metric::{AnchoredDistance, WorkloadDistance};
 use cliffguard_workload::{Query, Workload};
+use std::sync::Arc;
 
 /// Latency-aware workload distance.
 ///
@@ -41,25 +43,71 @@ impl<B: Fn(&Query) -> f64> DeltaLatency<B> {
 
     /// The latency-difference term `R(W1, W2)` of Eq. (12).
     pub fn latency_term(&self, a: &Workload, b: &Workload) -> f64 {
-        let fa = self.workload_baseline(a);
-        let fb = self.workload_baseline(b);
-        let denom = (fa + fb).abs();
-        if denom == 0.0 {
-            // Both cost zero: identical latencies.
-            0.0
-        } else {
-            (fa - fb).abs() / denom
-        }
+        latency_ratio(self.workload_baseline(a), self.workload_baseline(b))
+    }
+
+    /// Eq. (11): blends the Euclidean distance with `R`.
+    fn blend(&self, euclidean: f64, latency_term: f64) -> f64 {
+        (1.0 - self.omega) * euclidean + self.omega * latency_term
+    }
+}
+
+/// `R` of Eq. (12) from the two workloads' baseline latencies.
+fn latency_ratio(fa: f64, fb: f64) -> f64 {
+    let denom = (fa + fb).abs();
+    if denom == 0.0 {
+        // Both cost zero: identical latencies.
+        0.0
+    } else {
+        (fa - fb).abs() / denom
     }
 }
 
 impl<B: Fn(&Query) -> f64> WorkloadDistance for DeltaLatency<B> {
     fn distance(&self, a: &Workload, b: &Workload) -> f64 {
-        (1.0 - self.omega) * self.base.distance(a, b) + self.omega * self.latency_term(a, b)
+        self.blend(self.base.distance(a, b), self.latency_term(a, b))
+    }
+
+    fn anchored<'a>(
+        &'a self,
+        w0: &'a Workload,
+        candidates: &'a [Arc<Query>],
+    ) -> Box<dyn AnchoredDistance + 'a> {
+        Box::new(LatencyAnchor {
+            metric: self,
+            euclidean: self.base.anchor(w0, candidates),
+            candidates,
+            w0_baseline: self.workload_baseline(w0),
+            baselines: vec![None; candidates.len()],
+        })
     }
 
     fn name(&self) -> String {
         format!("Euc-latency (w={})", self.omega)
+    }
+}
+
+/// `δ_latency(W0, ·)`: the shared Euclidean anchor plus `f(W0, ∅)`, and
+/// each candidate's baseline latency computed on its first draw.
+struct LatencyAnchor<'a, B> {
+    metric: &'a DeltaLatency<B>,
+    euclidean: EuclideanAnchor<'a>,
+    candidates: &'a [Arc<Query>],
+    w0_baseline: f64,
+    baselines: Vec<Option<f64>>,
+}
+
+impl<B: Fn(&Query) -> f64> AnchoredDistance for LatencyAnchor<'_, B> {
+    fn distance_to(&mut self, subset: &[usize]) -> f64 {
+        let euclidean = self.euclidean.distance_to(subset);
+        let (metric, candidates, baselines) = (self.metric, self.candidates, &mut self.baselines);
+        // `f(Q, ∅)` summed in Q's entry order; unit weights leave each
+        // product equal to the query's baseline.
+        let q_baseline: f64 = subset
+            .iter()
+            .map(|&c| *baselines[c].get_or_insert_with(|| (metric.baseline)(&candidates[c])))
+            .sum();
+        metric.blend(euclidean, latency_ratio(self.w0_baseline, q_baseline))
     }
 }
 

@@ -13,7 +13,8 @@
 //!   (Eqs. 11–12) with its `ω` penalty factor.
 //! * [`NeighborhoodSampler`] — Appendix B / Algorithm 4: efficiently draws
 //!   perturbed workloads at a requested distance from `W0`, the primitive
-//!   behind CliffGuard's neighborhood exploration.
+//!   behind CliffGuard's neighborhood exploration. Its draws evaluate δ
+//!   through [`AnchoredDistance`], which computes `W0`'s side once.
 //! * [`WindowVector`] / [`window_delta`] — per-window sparse vectors for
 //!   streaming ingest, sealed once per closed window: bit-reproducible
 //!   inter-window δ for the online drift trigger.
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod anchor;
 mod euclidean;
 mod latency_aware;
 mod metric;
@@ -35,7 +37,7 @@ mod vector;
 
 pub use euclidean::{DeltaEuclidean, DeltaSeparate};
 pub use latency_aware::DeltaLatency;
-pub use metric::{ClauseMask, WorkloadDistance};
+pub use metric::{AnchoredDistance, ClauseMask, WorkloadDistance};
 pub use online::{window_delta, WindowVector};
 pub use sampler::{NeighborhoodSampler, SampleError};
 pub use vector::{diff_support, ReprKey};

@@ -1,6 +1,7 @@
 //! The distance-metric abstraction and clause masks.
 
-use cliffguard_workload::Workload;
+use cliffguard_workload::{Query, Workload};
+use std::sync::Arc;
 
 /// Which clauses contribute columns to a query's representation.
 ///
@@ -76,13 +77,40 @@ pub trait WorkloadDistance {
     /// Distance between two workloads.
     fn distance(&self, a: &Workload, b: &Workload) -> f64;
 
+    /// Fixes `w0` and a candidate list for repeated `δ(w0, Q)` evaluations
+    /// over small unit-weight sets `Q ⊆ candidates` (Algorithm 4's draw
+    /// loop), computing `w0`'s side of the metric once.
+    fn anchored<'a>(
+        &'a self,
+        w0: &'a Workload,
+        candidates: &'a [Arc<Query>],
+    ) -> Box<dyn AnchoredDistance + 'a>;
+
     /// Human-readable metric name (figure legends, reports).
     fn name(&self) -> String;
+}
+
+/// `δ(W0, Q)` for one fixed `W0` and unit-weight query sets `Q` drawn from
+/// one fixed candidate list; built by [`WorkloadDistance::anchored`].
+pub trait AnchoredDistance {
+    /// `δ(W0, Q)` where `Q` holds `candidates[i]` at weight 1 for each `i`
+    /// in `subset`, bit-identical to
+    /// `distance(w0, &Workload::from_queries(..))` over those queries in
+    /// `subset` order. The indices must name queries with pairwise
+    /// distinct signatures, so that `Q` has `subset.len()` entries.
+    fn distance_to(&mut self, subset: &[usize]) -> f64;
 }
 
 impl<T: WorkloadDistance + ?Sized> WorkloadDistance for &T {
     fn distance(&self, a: &Workload, b: &Workload) -> f64 {
         (**self).distance(a, b)
+    }
+    fn anchored<'a>(
+        &'a self,
+        w0: &'a Workload,
+        candidates: &'a [Arc<Query>],
+    ) -> Box<dyn AnchoredDistance + 'a> {
+        (**self).anchored(w0, candidates)
     }
     fn name(&self) -> String {
         (**self).name()

@@ -64,3 +64,69 @@ fn distance_deterministic_across_calls() {
     let d2 = metric.distance(&windows[0], &windows[1]);
     assert_eq!(d1, d2);
 }
+
+#[test]
+fn adaptive_indexing_is_deterministic_across_runs() {
+    // Every query of a window stamps its structures with the same window
+    // index, so within a window the recency ranking is all ties. A budget
+    // of half the first window's cracked structures fits only part of the
+    // store, so the tie order decides the design. Each fresh strategy
+    // instance gets a fresh hash-map seed.
+    let mut config = WorkloadProfile::R1.config(5).scaled(0.3);
+    config.n_windows = 4;
+    let mut generator = DriftingGenerator::new(config.clone());
+    let shape = generator.shape().clone();
+    let windows = generator.generate().windows_days(config.window_days);
+    let engine = ColumnarEngine::new(CatalogGenerator::default().generate(&shape));
+    let metric = DeltaEuclidean::new(shape.column_count());
+    let cracked: std::collections::HashSet<Projection> = windows[0]
+        .queries()
+        .flat_map(|q| engine.ideal_design_for(q).structures())
+        .collect();
+    let cracked_bytes: u64 = cracked
+        .iter()
+        .map(|s| ColumnarDesign::structure_price(s, engine.catalog()))
+        .sum();
+    assert!(cracked.len() >= 8, "want many same-window ties");
+    let budget = cracked_bytes / 2;
+    let opts = EvalOptions {
+        budget_bytes: budget,
+        designable_factor: 3.0,
+    };
+    let run = || {
+        let mut strategy = AdaptiveIndexingStrategy::<Projection>::new();
+        let fingerprints: Vec<u64> = windows
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let ctx = WindowCtx {
+                    engine: &engine,
+                    current: w,
+                    future: w,
+                    pool: &[],
+                    past_deltas: &[],
+                    budget,
+                    window_index: i,
+                };
+                strategy.design(&ctx).fingerprint()
+            })
+            .collect();
+        let mut strategy = AdaptiveIndexingStrategy::<Projection>::new();
+        let r = evaluate_strategy(&engine, &mut strategy, &windows, &metric, &opts);
+        let bits: Vec<(u64, u64)> = r
+            .windows
+            .iter()
+            .map(|w| (w.avg_ms.to_bits(), w.max_ms.to_bits()))
+            .collect();
+        (
+            fingerprints,
+            r.mean_avg_ms.to_bits(),
+            r.mean_max_ms.to_bits(),
+            bits,
+        )
+    };
+    let first = run();
+    for _ in 1..8 {
+        assert_eq!(run(), first);
+    }
+}

@@ -167,6 +167,10 @@ fn metrics_snapshot_covers_every_layer() {
         snap.histogram("cliffguard.core.iter_ms").is_some(),
         "per-iteration timings recorded"
     );
+    assert!(
+        snap.histogram("cliffguard.core.sample_ms").is_some(),
+        "neighborhood sampling timed"
+    );
     // Deterministic, sorted JSON export round-trips through the shim.
     let json = snap.to_json();
     assert!(json.contains("cliffguard.core.designer_call_ms"));
