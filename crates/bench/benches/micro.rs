@@ -2,12 +2,12 @@
 //! (the `O(T²·n)` quadratic form of Section 5), the Γ-neighborhood sampler
 //! (Algorithm 4), the engine cost model, the nominal designer, and one
 //! full CliffGuard design call — plus a serial-vs-parallel comparison of
-//! the Γ-neighborhood worst-case evaluation with cost-cache hit rates.
+//! the Γ-neighborhood worst-case evaluation.
 
 use cliffguard_core::{CliffGuard, CliffGuardConfig};
 use cliffguard_designer::{ColumnarCandidates, GreedyDesigner, NominalDesigner};
 use cliffguard_distance::{DeltaEuclidean, NeighborhoodSampler, WorkloadDistance};
-use cliffguard_sim::{CachedEngine, ColumnarDesign, ColumnarEngine, Engine, PhysicalDesign};
+use cliffguard_sim::{ColumnarDesign, ColumnarEngine, Engine, PhysicalDesign};
 use cliffguard_storage::CatalogGenerator;
 use cliffguard_workload::generator::{DriftingGenerator, WorkloadProfile};
 use cliffguard_workload::{Query, Workload};
@@ -97,11 +97,10 @@ fn bench(c: &mut Criterion) {
 
 /// Γ-neighborhood worst-case evaluation, the workload the parallel
 /// cost-evaluation layer exists for: reports serial vs parallel wall
-/// clock (and the speedup) plus the cost-cache hit rate.
+/// clock (and the speedup).
 ///
 /// Not a criterion `bench_function`: the serial and parallel runs must be
-/// timed against *each other* over the identical neighborhood, and the
-/// cache hit rate is a property of one whole pass, not of a sample.
+/// timed against *each other* over the identical neighborhood.
 fn parallel_worst_case_report(f: &Fixture, metric: DeltaEuclidean) {
     fn worst_case<C: Fn(&Workload) -> f64 + Sync>(neighborhood: &[Workload], cost: C) -> f64 {
         cliffguard_parallel::par_map(neighborhood, |w| cost(w))
@@ -144,23 +143,6 @@ fn parallel_worst_case_report(f: &Fixture, metric: DeltaEuclidean) {
         "parallel worst-case must be bit-identical to serial"
     );
 
-    // Cached pass: every (query, design) pair repeats across the
-    // neighborhood's overlapping workloads and across reps.
-    let cached = CachedEngine::new(&f.engine);
-    let t0 = std::time::Instant::now();
-    let mut cached_result = 0.0;
-    for _ in 0..reps.max(2) {
-        cached_result = worst_case(&neighborhood, |w| cached.workload_cost(w, &design).avg_ms);
-    }
-    let cached_elapsed = t0.elapsed();
-    assert_eq!(
-        serial_result.to_bits(),
-        cached_result.to_bits(),
-        "cached worst-case must be bit-identical to uncached"
-    );
-    let stats = cached.cache_stats();
-    assert!(stats.hits > 0, "neighborhood pass must hit the cost cache");
-
     if test_mode {
         println!("test parallel/worst_case_equivalence ... ok");
     } else {
@@ -170,14 +152,6 @@ fn parallel_worst_case_report(f: &Fixture, metric: DeltaEuclidean) {
         println!(
             "parallel/worst_case_{threads}_threads                {reps} reps in {parallel:>10.2?}  \
              speedup {speedup:.2}x on {cores} core(s)"
-        );
-        println!(
-            "parallel/worst_case_cached_{threads}_threads         {} reps in {cached_elapsed:>10.2?}  \
-             hit rate {:.1}% ({} hits / {} lookups)",
-            reps.max(2),
-            100.0 * stats.hit_rate(),
-            stats.hits,
-            stats.lookups(),
         );
     }
 }

@@ -1,21 +1,20 @@
-//! Cost-kernel microbench: direct vs cached vs dense-kernel evaluation of
-//! a Γ-neighborhood against a stream of candidate designs.
+//! Cost-kernel microbench: direct vs dense-kernel evaluation of a
+//! Γ-neighborhood against a stream of candidate designs.
 //!
 //! Not a figure from the paper — the performance experiment for the dense
 //! cost kernel. It rebuilds the exact shape of the descent loop's hot
 //! path (every workload of a sampled neighborhood costed against every
-//! design of a stream) three ways:
+//! design of a stream) two ways:
 //!
-//! * **direct** — [`Engine::workload_cost`] per (workload, design), the
-//!   pre-cache baseline: full plan compilation on every call;
-//! * **cached** — the same calls through [`CachedEngine`], paying a
-//!   structural hash plus a sharded-mutex probe per lookup;
+//! * **direct** — [`Engine::workload_cost`] per (workload, design): full
+//!   plan compilation on every call;
 //! * **kernel** — one [`CostKernel`] epoch per design, then dense
 //!   weighted folds.
 //!
-//! Every value the three paths produce is asserted **bit-identical**
-//! in-line — a divergence panics, which is what the CI `bench-smoke` job
-//! relies on. The table also reports the interner's dedup ratio and the
+//! Every value the two paths produce is asserted **bit-identical**
+//! in-line, and so is every delta epoch against its full rebuild — a
+//! divergence panics, which is what the CI `bench-smoke` job relies on.
+//! The table also reports the interner's dedup ratio and the
 //! CELF-vs-eager selection comparison (identical output, fewer gain
 //! evaluations).
 
@@ -23,15 +22,13 @@ use crate::scale::Scale;
 use crate::setup::columnar_setup;
 use crate::table::{fnum, Table};
 use cliffguard_core::gamma::{consecutive_deltas, GammaPolicy};
-use cliffguard_core::{CliffGuardConfig, DesignSession, SessionOptions};
-use cliffguard_designer::{BenefitMatrix, CandidateGen, ColumnarCandidates, GreedyDesigner, Reliable};
+use cliffguard_designer::{BenefitMatrix, CandidateGen, ColumnarCandidates};
 use cliffguard_distance::{DeltaEuclidean, NeighborhoodSampler};
-use cliffguard_sim::{
-    CachedEngine, ColumnarDesign, CostKernel, DesignEpoch, Engine, EpochCacheStore, PhysicalDesign,
-    Projection,
-};
+use cliffguard_sim::{ColumnarDesign, CostKernel, DesignEpoch, Engine, PhysicalDesign, Projection};
 use cliffguard_workload::generator::WorkloadProfile;
-use cliffguard_workload::{ColumnSet, InternedWorkload, PredOp, Query, QueryBuilder, QueryId, Workload};
+use cliffguard_workload::{
+    ColumnSet, InternedWorkload, PredOp, Query, QueryBuilder, QueryId, Workload,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,7 +65,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     }
 
     // The descent's workload set: Γ-neighborhood samples plus W0 itself.
-    let mut sampler = NeighborhoodSampler::new(metric, pool.clone(), seed);
+    let mut sampler = NeighborhoodSampler::new(metric, pool, seed);
     let mut neighborhood = sampler.sample_neighborhood(w0, gamma, 20);
     neighborhood.push(w0.clone());
 
@@ -97,19 +94,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     }
     let direct_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // --- cached: hash + sharded-mutex probe per lookup ----------------
-    let cached_engine = CachedEngine::new(engine);
-    let t0 = Instant::now();
-    let mut cached_vals: Vec<f64> = Vec::new();
-    for _ in 0..reps {
-        for d in &designs {
-            for w in &neighborhood {
-                cached_vals.push(cached_engine.workload_cost(w, d).avg_ms);
-            }
-        }
-    }
-    let cached_ms = t0.elapsed().as_secs_f64() * 1e3;
-
     // --- kernel: one epoch per design, dense folds --------------------
     // The build (interning + plan compilation) is charged to the kernel.
     let t0 = Instant::now();
@@ -125,20 +109,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     }
     let kernel_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Bit-identity: all three paths must agree on every single value.
-    assert_eq!(direct_vals.len(), cached_vals.len());
+    // Bit-identity: both paths must agree on every single value.
     assert_eq!(direct_vals.len(), kernel_vals.len());
-    for (i, ((a, b), c)) in direct_vals
-        .iter()
-        .zip(&cached_vals)
-        .zip(&kernel_vals)
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "cached path diverged from direct at sample {i}: {a} vs {b}"
-        );
+    for (i, (a, c)) in direct_vals.iter().zip(&kernel_vals).enumerate() {
         assert_eq!(
             a.to_bits(),
             c.to_bits(),
@@ -210,10 +183,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
             vec![cliffguard_workload::ColumnId(k)],
         )
     };
-    let base = ColumnarDesign::from_structures(vec![
-        two_col_projection(0),
-        two_col_projection(2),
-    ]);
+    let base = ColumnarDesign::from_structures(vec![two_col_projection(0), two_col_projection(2)]);
     let targets: Vec<ColumnarDesign> = (0..TOUCHES)
         .map(|i| {
             let mut structures = base.structures();
@@ -230,7 +200,11 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
             let t0 = Instant::now();
             full_epochs.push(fresh.epoch(t));
             full_ms += t0.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(fresh.stats().delta_builds, 0, "fresh kernel must build fully");
+            assert_eq!(
+                fresh.stats().delta_builds,
+                0,
+                "fresh kernel must build fully"
+            );
         }
     }
 
@@ -311,40 +285,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         }
     );
 
-    // --- cold vs warm session: the persistent epoch cache -------------
-    // The same robust design session twice against one cache directory:
-    // the first run persists every epoch it builds, the second loads
-    // them. The final designs must match exactly.
-    let cache_dir = std::env::temp_dir().join(format!(
-        "cliffguard-bench-epoch-{}-{seed}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let store = EpochCacheStore::open(&cache_dir).expect("open epoch cache dir");
-    let run_session = |cache: Option<EpochCacheStore>| {
-        let metric = DeltaEuclidean::new(setup.n_columns);
-        let nominal = GreedyDesigner::new(engine, ColumnarCandidates, "DBD");
-        let options = SessionOptions {
-            epoch_cache: cache,
-            ..SessionOptions::default()
-        };
-        let session = DesignSession::new(
-            engine,
-            Reliable(&nominal),
-            metric,
-            CliffGuardConfig::new(gamma),
-            options,
-        )
-        .expect("valid session configuration");
-        let t0 = Instant::now();
-        let (design, _) = session.run(w0, setup.budget, &pool).into_design();
-        (design.fingerprint(), t0.elapsed().as_secs_f64() * 1e3)
-    };
-    let (cold_fp, cold_session_ms) = run_session(Some(store.clone()));
-    let (warm_fp, warm_session_ms) = run_session(Some(store));
-    assert_eq!(cold_fp, warm_fp, "warm start changed the final design");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
     let stats = kernel.stats();
     let evaluations = direct_vals.len();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -352,7 +292,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
 
     let mut t = Table::new(
         "costkernel",
-        "cost-kernel microbench: neighborhood evaluation, three paths",
+        "cost-kernel microbench: neighborhood evaluation, two paths",
         &["Metric", "Value"],
     );
     t.row(vec!["gamma".into(), fnum(gamma)]);
@@ -365,15 +305,10 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         evaluations.to_string(),
     ]);
     t.row(vec!["direct wall ms".into(), fnum(direct_ms)]);
-    t.row(vec!["cached wall ms".into(), fnum(cached_ms)]);
     t.row(vec!["kernel wall ms".into(), fnum(kernel_ms)]);
     t.row(vec![
         "kernel speedup vs direct".into(),
         fnum(direct_ms / kernel_ms.max(1e-9)),
-    ]);
-    t.row(vec![
-        "kernel speedup vs cached".into(),
-        fnum(cached_ms / kernel_ms.max(1e-9)),
     ]);
     t.row(vec![
         "interned queries".into(),
@@ -413,12 +348,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     ]);
     t.row(vec!["fold wall ms".into(), fnum(fold_secs * 1e3)]);
     t.row(vec!["fold Mqueries/s".into(), fnum(fold_mqs)]);
-    t.row(vec!["cold session wall ms".into(), fnum(cold_session_ms)]);
-    t.row(vec!["warm session wall ms".into(), fnum(warm_session_ms)]);
-    t.row(vec![
-        "warm speedup vs cold".into(),
-        fnum(cold_session_ms / warm_session_ms.max(1e-9)),
-    ]);
     t.row(vec![
         "CELF structures chosen".into(),
         celf_chosen.len().to_string(),
@@ -433,7 +362,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         "cores (threads used)".into(),
         format!("{cores} ({threads})"),
     ]);
-    t.note("all three paths asserted bit-identical per evaluation before timing is reported");
+    t.note("both paths asserted bit-identical per evaluation before timing is reported");
     t.note("delta epochs asserted bit-identical to full builds per single-structure touch");
     t.note("wall times vary run to run; the identity assertions and counters are deterministic");
     vec![t]

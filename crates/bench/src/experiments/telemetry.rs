@@ -5,8 +5,8 @@
 //! first-party telemetry layer. It installs the metrics registry and an
 //! in-memory JSONL trace, runs a design session on a virtual clock, and
 //! reports the resulting snapshot: session counters, designer-call and
-//! per-iteration latency quantiles, cost-cache hit rate, parallel fan-out
-//! counters, and the number of trace lines captured. It then measures the
+//! per-iteration latency quantiles, parallel fan-out counters, and the
+//! number of trace lines captured. It then measures the
 //! ops-plane costs: the flight recorder's wall-clock overhead on an
 //! otherwise-untraced session (best-of-N with and without an installed
 //! ring, asserted within 2% plus a small absolute floor for timer noise)
@@ -22,7 +22,7 @@ use cliffguard_core::{CliffGuardConfig, DesignSession, SessionOptions};
 use cliffguard_designer::{ColumnarCandidates, GreedyDesigner};
 use cliffguard_distance::DeltaEuclidean;
 use cliffguard_resilience::{FaultPlan, FaultyDesigner, SessionClock};
-use cliffguard_sim::{CachedEngine, ColumnarEngine, Engine};
+use cliffguard_sim::ColumnarEngine;
 use cliffguard_telemetry as tel;
 use cliffguard_workload::generator::WorkloadProfile;
 use cliffguard_workload::Query;
@@ -72,14 +72,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
         },
     )
     .expect("valid config");
-    let (design, session_trace) = session.run(w0, setup.budget, &pool).into_design();
-
-    // Final costing through the memoizing engine: the second pass hits
-    // the cache, so the snapshot carries a non-trivial hit rate.
-    let cached = CachedEngine::new(&setup.engine);
-    let _ = cached.cost_f(w0, &design);
-    let _ = cached.cost_f(w0, &design);
-    cached.cache().publish_metrics();
+    let (_, session_trace) = session.run(w0, setup.budget, &pool).into_design();
 
     let snap = guard.registry().expect("registry installed").snapshot();
     let trace_lines = guard.memory().map_or(0, |m| m.lines().len());
@@ -113,12 +106,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
             "descent iter ms p50/p95".into(),
             format!("{} / {}", fnum(h.p50()), fnum(h.p95())),
         ]);
-    }
-    if let Some(h) = snap.histogram("cliffguard.sim.query_cost_ms") {
-        t.row(vec!["cost-model calls".into(), h.count.to_string()]);
-    }
-    if let Some(rate) = snap.gauge("cliffguard.sim.cache.hit_rate") {
-        t.row(vec!["cost-cache hit rate".into(), fnum(rate)]);
     }
     t.row(vec![
         "parallel calls (chunked / inline)".into(),

@@ -93,15 +93,14 @@ fn usage() {
                      [--budget auto|BYTES] [--window-days N] [--nominal]\n\
                      [--max-retries N] [--designer-deadline-ms N]\n\
                      [--session-deadline-ms N] [--faults SPEC]\n\
-                     [--replicas R] [--max-failures K] [--epoch-cache DIR]\n\
+                     [--replicas R] [--max-failures K]\n\
            ingest    --catalog CATALOG.json --log LOG.tsv|- [--window N]\n\
                      [--window-secs S] [--gamma auto|G] [--chunk-bytes N]\n\
                      [--warmup N] [--cooldown N] [--rearm-ratio F]\n\
                      [--no-design] [--budget auto|BYTES] [--faults SPEC]\n\
-                     [--epoch-cache DIR]\n\
            serve     [--listen ADDR:PORT] [--state-dir DIR] [--max-concurrent N]\n\
                      [--max-queue N] [--tenant-deadline-ms N]\n\
-                     [--checkpoint-every N] [--faults SPEC] [--epoch-cache DIR]\n\
+                     [--checkpoint-every N] [--faults SPEC]\n\
            evaluate  --catalog CATALOG.json --log LOG.tsv [--budget auto|BYTES]\n\
                      [--window-days N]\n\
            validate-trace --trace TRACE.jsonl|- --schema SCHEMA.json\n\
@@ -139,11 +138,6 @@ fn usage() {
          close prints one audit line (delta and gamma as IEEE-754 bit\n\
          patterns), and a delta > gamma excursion launches a redesign unless\n\
          --no-design. The audit stream is byte-identical at any --chunk-bytes\n\
-         \n\
-         --epoch-cache DIR persists cost-kernel latency snapshots keyed by\n\
-         (engine version, workload fingerprint, design fingerprint): a rerun\n\
-         over the same inputs warm-starts instead of re-costing from scratch.\n\
-         Cached bits equal rebuilt bits, so results never depend on the cache\n\
          \n\
          serve runs the multi-tenant advisor daemon: newline-delimited JSON\n\
          requests (design|ingest|status|metrics|drain|shutdown) on\n\
@@ -249,17 +243,6 @@ fn budget(opts: &Flags, engine: &ColumnarEngine) -> Result<u64, String> {
     }
 }
 
-/// Opens the persistent epoch cache named by `--epoch-cache DIR` (created
-/// on first use); `None` when the flag is absent.
-fn epoch_cache(opts: &Flags) -> Result<Option<EpochCacheStore>, String> {
-    match opts.get("epoch-cache").filter(|s| !s.is_empty()) {
-        None => Ok(None),
-        Some(dir) => EpochCacheStore::open(dir)
-            .map(Some)
-            .map_err(|e| format!("--epoch-cache {dir}: {e}")),
-    }
-}
-
 // ------------------------------------------------------------- generate --
 
 fn cmd_generate(opts: &Flags) -> Result<(), String> {
@@ -348,7 +331,6 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
     }
     let engine = ColumnarEngine::new(catalog);
     let budget = budget(opts, &engine)?;
-    let cache = epoch_cache(opts)?;
     let metric = DeltaEuclidean::new(engine.catalog().column_count());
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
 
@@ -413,7 +395,6 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
         let options = SessionOptions {
             retry,
             clock: clock.clone(),
-            epoch_cache: cache.clone(),
             ..SessionOptions::default()
         };
         let config = CliffGuardConfig::new(gamma);
@@ -452,14 +433,6 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
     };
 
     if cliffguard::telemetry::metrics_enabled() {
-        // Final costing pass through the memoizing engine: cost the last
-        // window twice (the second pass hits the cache) so the metrics
-        // snapshot carries per-query cost-model timings and a non-trivial
-        // cache hit rate alongside the session's own counters.
-        let cached = CachedEngine::new(&engine);
-        let _ = cached.cost_f(w0, &design);
-        let _ = cached.cost_f(w0, &design);
-        cached.cache().publish_metrics();
         // The session's cost kernel published its gauges while running;
         // surface them here so a metrics run shows the dedup win without
         // opening the snapshot file.
@@ -492,7 +465,6 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
             replicas,
             max_failures,
             faults: plan,
-            epoch_cache: cache.clone(),
             ..ReplicaOptions::default()
         };
         let outcome = design_replicated(&engine, &nominal, &design, &windows, budget, &ropts)
@@ -603,7 +575,6 @@ fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
 
     let engine = ColumnarEngine::new(catalog);
     let budget = budget(opts, &engine)?;
-    let cache = epoch_cache(opts)?;
     let plan = match opts.get("faults") {
         Some(spec) => Some(FaultPlan::from_spec(spec).map_err(|e| format!("--faults: {e}"))?),
         None => FaultPlan::from_env().map_err(|e| format!("{FAULTS_ENV}: {e}"))?,
@@ -645,7 +616,7 @@ fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
         // invisible to the audit stream (dropped statements re-parse on
         // their next arrival).
         advisor.compact_stream(&mut stream, DEFAULT_INTERN_CAPACITY);
-        flush_window_audits(&mut out, &mut pending, &engine, budget, &plan, &cache, clock)?;
+        flush_window_audits(&mut out, &mut pending, &engine, budget, &plan, clock)?;
     }
     {
         let (advisor, pending) = (&mut advisor, &mut pending);
@@ -659,7 +630,7 @@ fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
     if let Some(audit) = advisor.finish() {
         push_audit(&mut advisor, &mut pending, run_designs, audit);
     }
-    flush_window_audits(&mut out, &mut pending, &engine, budget, &plan, &cache, clock)?;
+    flush_window_audits(&mut out, &mut pending, &engine, budget, &plan, clock)?;
 
     let stats = stream.stats();
     writeln!(
@@ -732,7 +703,6 @@ fn flush_window_audits(
     engine: &ColumnarEngine,
     budget: u64,
     plan: &Option<FaultPlan>,
-    cache: &Option<EpochCacheStore>,
     clock: &SessionClock,
 ) -> Result<(), String> {
     for (audit, action) in pending.drain(..) {
@@ -747,7 +717,6 @@ fn flush_window_audits(
         let nominal = GreedyDesigner::new(engine, ColumnarCandidates, "DBD");
         let options = SessionOptions {
             clock: clock.clone(),
-            epoch_cache: cache.clone(),
             ..SessionOptions::default()
         };
         let config = CliffGuardConfig::new(audit.gamma.max(0.0));
@@ -802,10 +771,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         virtual_time: opts.contains_key("virtual-clock"),
         state_dir: opts
             .get("state-dir")
-            .filter(|s| !s.is_empty())
-            .map(Into::into),
-        epoch_cache: opts
-            .get("epoch-cache")
             .filter(|s| !s.is_empty())
             .map(Into::into),
         ..ServeConfig::default()

@@ -106,9 +106,8 @@ pub mod prelude {
     };
     pub use cliffguard_robust::{descent_direction, testfns, BntOptimizer, CostFn};
     pub use cliffguard_sim::{
-        CacheStats, CachedEngine, ColumnarDesign, ColumnarEngine, CostCache, CostKernel,
-        DesignEpoch, Engine, EpochCacheStore, Index, KernelOptions, KernelStats, MatView,
-        PhysicalDesign, PlanningEngine, Projection, RowDesign, RowEngine, RowStructure,
+        ColumnarDesign, ColumnarEngine, CostKernel, DesignEpoch, Engine, Index, KernelStats,
+        MatView, PhysicalDesign, PlanningEngine, Projection, RowDesign, RowEngine, RowStructure,
     };
     pub use cliffguard_storage::{Catalog, CatalogGenerator, ColumnDef, ColumnStats, TableDef};
     pub use cliffguard_telemetry::{

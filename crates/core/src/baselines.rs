@@ -161,13 +161,19 @@ where
         let mut neighborhood = sampler.sample_neighborhood(ctx.current, gamma, self.n_samples);
         neighborhood.push(ctx.current.clone());
 
-        let mut votes: HashMap<<E::Design as PhysicalDesign>::Structure, usize> = HashMap::new();
+        // Votes in first-seen order; the stable sort below then breaks
+        // count ties on that order, never on hash-map iteration order.
+        let mut ranked: Vec<(<E::Design as PhysicalDesign>::Structure, usize)> = Vec::new();
+        let mut slot: HashMap<<E::Design as PhysicalDesign>::Structure, usize> = HashMap::new();
         for w in &neighborhood {
             for s in self.designer.design(w, ctx.budget).structures() {
-                *votes.entry(s).or_insert(0) += 1;
+                let i = *slot.entry(s.clone()).or_insert_with(|| {
+                    ranked.push((s, 0));
+                    ranked.len() - 1
+                });
+                ranked[i].1 += 1;
             }
         }
-        let mut ranked: Vec<_> = votes.into_iter().collect();
         ranked.sort_by_key(|&(_, votes)| std::cmp::Reverse(votes));
         let mut chosen = Vec::new();
         let mut remaining = ctx.budget;

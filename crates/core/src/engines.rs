@@ -2,8 +2,7 @@
 
 use cliffguard_designer::{ColumnarCandidates, RowCandidates};
 use cliffguard_sim::{
-    CachedEngine, ColumnarDesign, ColumnarEngine, Engine, PhysicalDesign, RowDesign, RowEngine,
-    WorkloadCost,
+    ColumnarDesign, ColumnarEngine, Engine, PhysicalDesign, RowDesign, RowEngine, WorkloadCost,
 };
 use cliffguard_workload::{Query, Workload};
 
@@ -40,13 +39,24 @@ pub trait EngineExt: Engine {
     /// the serial `workload_cost` at any thread count. Used by the
     /// windowed evaluation protocol, whose test windows are the largest
     /// single workloads the system costs.
+    ///
+    /// With metrics on, every entry's cost-model call is timed into
+    /// `cliffguard.sim.query_cost_ms` (metrics only, no trace events).
     fn par_workload_cost(&self, w: &Workload, d: &Self::Design) -> WorkloadCost {
         if w.is_empty() {
             return WorkloadCost::zero();
         }
         let entries: Vec<_> = w.iter().collect();
-        let latencies =
-            cliffguard_parallel::par_map(&entries, |(q, _)| self.query_latency_ms(q, d));
+        let timer = cliffguard_telemetry::histogram("cliffguard.sim.query_cost_ms");
+        let latencies = cliffguard_parallel::par_map(&entries, |(q, _)| match &timer {
+            Some(h) => {
+                let t0 = std::time::Instant::now();
+                let l = self.query_latency_ms(q, d);
+                h.record(cliffguard_telemetry::elapsed_ms(t0));
+                l
+            }
+            None => self.query_latency_ms(q, d),
+        });
         let mut total = 0.0;
         let mut max: f64 = 0.0;
         let mut weight = 0.0;
@@ -78,16 +88,6 @@ impl EngineExt for ColumnarEngine {
 impl EngineExt for RowEngine {
     fn ideal_design_for(&self, q: &Query) -> RowDesign {
         RowDesign::from_structures(RowCandidates::tailored(self, q))
-    }
-}
-
-/// A cached engine is the same engine with memoized latencies (the cache
-/// returns the stored bits, so every derived quantity is bit-identical).
-/// Delegating the ideal-design construction lets the evaluation protocol
-/// run entirely against the cached wrapper.
-impl<E: EngineExt> EngineExt for CachedEngine<'_, E> {
-    fn ideal_design_for(&self, q: &Query) -> Self::Design {
-        self.inner().ideal_design_for(q)
     }
 }
 
@@ -154,6 +154,33 @@ mod tests {
             e.par_workload_cost(&Workload::new(), &d),
             cliffguard_sim::WorkloadCost::zero()
         );
+    }
+
+    #[test]
+    fn par_workload_cost_times_every_entry() {
+        // The only test in this binary that installs telemetry. Metrics
+        // never change a result, but concurrently running tests may add
+        // their own samples, hence `>=`.
+        let t = cliffguard_telemetry::install(cliffguard_telemetry::TelemetryConfig {
+            metrics: true,
+            ..Default::default()
+        })
+        .unwrap();
+        let e = ColumnarEngine::new(catalog());
+        let w = Workload::from_queries((0..12u32).map(|i| {
+            (
+                QueryBuilder::new(TableId(0))
+                    .select(&[i % 6])
+                    .filter((i + 1) % 6, PredOp::Eq, 0.001 + i as f64 * 1e-4)
+                    .build(),
+                1.0,
+            )
+        }));
+        assert_eq!(w.len(), 12);
+        e.par_workload_cost(&w, &ColumnarDesign::empty());
+        let snap = t.registry().unwrap().snapshot();
+        let h = snap.histogram("cliffguard.sim.query_cost_ms").unwrap();
+        assert!(h.count >= 12, "one timing per entry, got {}", h.count);
     }
 
     #[test]

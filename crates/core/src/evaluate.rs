@@ -125,10 +125,6 @@ where
     M: WorkloadDistance,
 {
     let mut filter = DesignableFilter::new(engine, opts.designable_factor);
-    // Session-long memo for test-window costing: a (query, design) pair
-    // re-costed on a later window (stable designs, recurring queries)
-    // returns the stored bits instead of re-planning.
-    let cached = cliffguard_sim::CachedEngine::new(engine);
     let mut records = Vec::new();
     let mut deltas: Vec<f64> = Vec::new();
 
@@ -172,7 +168,7 @@ where
         // the per-window test costing — the wide, pure part of this loop —
         // fans out across threads with a serial in-order reduction that is
         // bit-identical to `workload_cost`.
-        let cost = cached.par_workload_cost(&test, &design);
+        let cost = engine.par_workload_cost(&test, &design);
         records.push(WindowRecord {
             window: i,
             avg_ms: cost.avg_ms,

@@ -46,8 +46,7 @@ use cliffguard_robust::{
     capacity_inflation, enumerate_masks, survivors, worst_over_masks, FailureMask,
 };
 use cliffguard_sim::{
-    combine_fingerprints, CostKernel, DesignEpoch, EpochCacheStore, KernelOptions, PhysicalDesign,
-    PlanningEngine, QueryRouter,
+    combine_fingerprints, CostKernel, DesignEpoch, PhysicalDesign, PlanningEngine, QueryRouter,
 };
 use cliffguard_workload::{InternedWorkload, Workload};
 use std::sync::Arc;
@@ -74,9 +73,6 @@ pub struct ReplicaOptions {
     /// Fault plan whose replica-crash / replica-slow entries fire by
     /// 1-based round index.
     pub faults: Option<FaultPlan>,
-    /// Persistent epoch store shared with the session layer: per-round
-    /// replica epochs warm-start from disk across reruns.
-    pub epoch_cache: Option<EpochCacheStore>,
 }
 
 impl Default for ReplicaOptions {
@@ -87,7 +83,6 @@ impl Default for ReplicaOptions {
             inflation: 0.0,
             rounds: DEFAULT_ROUNDS,
             faults: None,
-            epoch_cache: None,
         }
     }
 }
@@ -364,14 +359,7 @@ where
     // The routing rounds keep R live replica epochs plus a redesign
     // candidate hot at once; the default 4-slot memo would thrash at R≥4,
     // rebuilding every epoch every round.
-    let (kernel, interned) = CostKernel::build_with(
-        engine,
-        scenarios,
-        KernelOptions {
-            memo_capacity: 4.max(r + 2),
-            epoch_cache: opts.epoch_cache.clone(),
-        },
-    );
+    let (kernel, interned) = CostKernel::build_with(engine, scenarios, 4.max(r + 2));
     let target = interned.last().expect("scenarios checked non-empty");
     if target.is_empty() {
         return Err(ReplicaError::EmptyTarget);

@@ -35,9 +35,7 @@ use crate::move_workload::move_workload;
 use cliffguard_designer::{DesignerFault, FallibleDesigner};
 use cliffguard_distance::{NeighborhoodSampler, WorkloadDistance};
 use cliffguard_resilience::{DegradedReason, RetryPolicy, SessionClock};
-use cliffguard_sim::{
-    CostKernel, Engine, EpochCacheStore, KernelOptions, PhysicalDesign, PlanningEngine,
-};
+use cliffguard_sim::{CostKernel, Engine, PhysicalDesign, PlanningEngine};
 use cliffguard_telemetry::{self as telemetry, Level};
 use cliffguard_workload::{InternedWorkload, Query, Workload};
 use serde::{map_get, Deserialize, Error as SerdeError, Serialize, Value};
@@ -78,12 +76,6 @@ pub struct SessionOptions {
     /// checkpoint replays the skipped iterations exactly, so the final
     /// design is bit-identical either way.
     pub checkpoint_every: usize,
-    /// Persistent epoch store for warm starts: the session's cost kernel
-    /// loads cached latency vectors keyed by (engine version, workload
-    /// fingerprint, design fingerprint) instead of rebuilding from
-    /// scratch. Cached bits equal rebuilt bits, so sessions are
-    /// byte-identical with or without the cache.
-    pub epoch_cache: Option<EpochCacheStore>,
 }
 
 impl Default for SessionOptions {
@@ -95,7 +87,6 @@ impl Default for SessionOptions {
             abort_after_iterations: None,
             stop: None,
             checkpoint_every: 1,
-            epoch_cache: None,
         }
     }
 }
@@ -112,7 +103,6 @@ impl SessionOptions {
             abort_after_iterations: None,
             stop: None,
             checkpoint_every: 1,
-            epoch_cache: None,
         }
     }
 
@@ -504,14 +494,7 @@ where
         // cost (the neighborhood plus W0, which was just pushed last) and
         // compiles each distinct plan once. All descent-loop costing below
         // goes through per-design latency epochs instead of re-planning.
-        let (kernel, interned) = CostKernel::build_with(
-            self.engine,
-            &neighborhood,
-            KernelOptions {
-                epoch_cache: self.options.epoch_cache.clone(),
-                ..KernelOptions::default()
-            },
-        );
+        let (kernel, interned) = CostKernel::build(self.engine, &neighborhood);
         kernel.publish_metrics();
 
         let current_worst = self.worst_case(&kernel, &interned, &design);
@@ -582,14 +565,7 @@ where
             });
         }
         neighborhood.push(w0.clone());
-        let (kernel, interned) = CostKernel::build_with(
-            self.engine,
-            &neighborhood,
-            KernelOptions {
-                epoch_cache: self.options.epoch_cache.clone(),
-                ..KernelOptions::default()
-            },
-        );
+        let (kernel, interned) = CostKernel::build(self.engine, &neighborhood);
         kernel.publish_metrics();
         // Realign call-indexed designer state (fault schedules) with the
         // position an uninterrupted session would be at.

@@ -91,10 +91,6 @@ pub struct ServeConfig {
     /// External kill switch shared with a signal handler: raised →
     /// sessions checkpoint and the daemon stops admitting.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Directory of the persistent epoch cache (`--epoch-cache`): design
-    /// sessions warm-start their cost kernels from latency snapshots
-    /// persisted by earlier runs. `None` disables warm starts.
-    pub epoch_cache: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -110,7 +106,6 @@ impl Default for ServeConfig {
             default_faults: None,
             kill_after_iterations: None,
             stop: None,
-            epoch_cache: None,
         }
     }
 }
@@ -262,7 +257,6 @@ impl Daemon {
             default_faults: None,
             // Set per submission: every session gets its own recorder.
             recorder: None,
-            epoch_cache: self.config.epoch_cache.clone(),
         }
     }
 

@@ -53,10 +53,6 @@ pub struct RunnerOptions {
     /// so its retained lines are byte-identical across reruns and worker
     /// counts in virtual-time mode. `None` skips recording entirely.
     pub recorder: Option<Arc<cliffguard_telemetry::FlightRecorder>>,
-    /// Directory of the persistent epoch cache: sessions warm-start their
-    /// cost kernels from latency vectors persisted by earlier runs.
-    /// Cached bits equal rebuilt bits, so serving output is unchanged.
-    pub epoch_cache: Option<std::path::PathBuf>,
 }
 
 /// How one request's session ended.
@@ -163,19 +159,12 @@ pub fn run_design(
         rec.set_clock(Arc::new(move || c.now_ms()));
         cliffguard_telemetry::record_on_thread(rec)
     });
-    // Warm-start store: an unopenable directory degrades to cold starts
-    // rather than rejecting the request (the cache is purely a speedup).
-    let epoch_cache = opts
-        .epoch_cache
-        .as_ref()
-        .and_then(|dir| cliffguard_sim::EpochCacheStore::open(dir).ok());
     let options = SessionOptions {
         retry,
         clock: clock.clone(),
         stop: opts.stop.clone(),
         checkpoint_every: opts.checkpoint_every.max(1),
         abort_after_iterations: opts.abort_after_iterations,
-        epoch_cache: epoch_cache.clone(),
         ..SessionOptions::default()
     };
     let config = CliffGuardConfig::new(gamma).with_seed(req.seed);
@@ -229,7 +218,6 @@ pub fn run_design(
                             replicas: req.replicas as usize,
                             max_failures: req.max_failures as usize,
                             faults: replica_plan.clone(),
-                            epoch_cache: epoch_cache.clone(),
                             ..ReplicaOptions::default()
                         };
                         match design_replicated(

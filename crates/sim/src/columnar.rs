@@ -476,10 +476,6 @@ impl PlanningEngine for ColumnarEngine {
             .any(|pt| pt.table == p.table && p.covers(&pt.referenced))
     }
 
-    fn engine_version_tag(&self) -> &'static str {
-        "columnar-v1"
-    }
-
     fn plan_tables_mask(&self, plan: &ColumnarPlan) -> u64 {
         plan.tables
             .iter()

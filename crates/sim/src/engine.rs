@@ -202,14 +202,6 @@ pub trait PlanningEngine: Engine {
         true
     }
 
-    /// A stable tag naming this engine's cost-model version, used to key
-    /// persistent epoch-cache entries. Bump it whenever the latency
-    /// arithmetic changes in any bit-observable way, so stale snapshots
-    /// are rejected instead of trusted.
-    fn engine_version_tag(&self) -> &'static str {
-        "engine-v0"
-    }
-
     /// A 64-bit over-approximating mask of the tables `plan` reads: bit
     /// [`table_mask_bit`] set for every referenced table. The delta
     /// builder stores one word per plan and ANDs it against the touched

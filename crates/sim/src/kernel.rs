@@ -2,10 +2,9 @@
 //!
 //! CliffGuard's descent re-costs a *fixed* set of workloads (the target
 //! plus its Γ-neighborhood samples) against a stream of candidate designs.
-//! The memoizing [`CachedEngine`](crate::CachedEngine) already avoids
-//! recomputing the cost model, but still pays a full structural query hash
-//! plus a sharded-mutex map probe on **every** lookup. The kernel removes
-//! both:
+//! Costing each (query, design) pair through
+//! [`Engine::query_latency_ms`](crate::Engine::query_latency_ms) re-plans
+//! the query on every call; the kernel pays for planning once:
 //!
 //! 1. All workloads are interned once through a
 //!    [`WorkloadInterner`], assigning dense [`QueryId`]s and turning each
@@ -34,17 +33,8 @@
 //! [`epoch_from`](CostKernel::epoch_from) exposes the same machinery for
 //! tests and benches.
 //!
-//! # Warm starts
-//!
-//! With an [`EpochCacheStore`] configured ([`KernelOptions::epoch_cache`]),
-//! every built epoch is persisted to disk keyed by
-//! `(engine version tag, interner fingerprint, design fingerprint)`, and a
-//! cold kernel (no memoized base to delta from) consults the store before
-//! paying a full build. Corrupt, truncated, or version-mismatched entries
-//! are rejected and overwritten — never trusted.
-//!
 //! One-off queries that were never interned (none arise in the descent
-//! loop, but callers may ask) fall back to a plain [`CostCache`].
+//! loop, but callers may ask) are costed directly by the engine.
 //!
 //! # Determinism
 //!
@@ -57,9 +47,7 @@
 //! Telemetry is metrics-only (`cliffguard.sim.kernel.*`): the kernel never
 //! emits trace events, keeping traces byte-identical with and without it.
 
-use crate::cache::{CacheStats, CostCache};
 use crate::engine::{PhysicalDesign, PlanningEngine, WorkloadCost};
-use crate::epoch_cache::EpochCacheStore;
 use cliffguard_workload::{InternedWorkload, Query, QueryId, Workload, WorkloadInterner};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,30 +55,9 @@ use std::sync::Arc;
 
 /// Default epochs kept in the kernel's internal memo. The descent loop only
 /// ever alternates between the incumbent design and one candidate, so a
-/// handful of slots suffices; replica fleets override this via
-/// [`KernelOptions::memo_capacity`] (R live epochs + a candidate).
+/// handful of slots suffices; replica fleets pass a larger capacity to
+/// [`CostKernel::build_with`] (R live epochs + a candidate).
 const EPOCH_MEMO_CAPACITY: usize = 4;
-
-/// Build-time knobs for [`CostKernel::build_with`].
-#[derive(Debug, Clone)]
-pub struct KernelOptions {
-    /// Epochs kept in the in-memory memo (clamped to ≥ 1). Replica fleets
-    /// should size this `max(4, R + 2)` so every live replica epoch plus a
-    /// candidate fits without thrashing.
-    pub memo_capacity: usize,
-    /// Persistent epoch store for warm starts; `None` disables disk
-    /// snapshots entirely.
-    pub epoch_cache: Option<EpochCacheStore>,
-}
-
-impl Default for KernelOptions {
-    fn default() -> Self {
-        Self {
-            memo_capacity: EPOCH_MEMO_CAPACITY,
-            epoch_cache: None,
-        }
-    }
-}
 
 /// The latency vector of one design: `lat[QueryId]` for every interned
 /// query, filled once by [`CostKernel::epoch`].
@@ -175,10 +142,6 @@ pub struct KernelStats {
     pub epoch_reuses: u64,
     /// Memo entries displaced by capacity pressure.
     pub epoch_evictions: u64,
-    /// Epochs loaded intact from the persistent store.
-    pub disk_hits: u64,
-    /// Fallback cache counters (un-interned one-off queries).
-    pub fallback: CacheStats,
 }
 
 /// One memoized epoch plus the structure multiset it was built for — the
@@ -194,25 +157,19 @@ struct MemoEntry<E: PlanningEngine> {
 pub struct CostKernel<'e, E: PlanningEngine> {
     engine: &'e E,
     interner: WorkloadInterner,
-    /// Fingerprint of the interned query set (signature-mixed in id
-    /// order) — half of the persistent cache key.
-    interner_fingerprint: u64,
     plans: Vec<E::Plan>,
     /// One word per plan: the engine's over-approximating table mask,
     /// hoisted to a flat slice so the delta builder's dependency scan
     /// prunes unrelated plans with a single AND instead of chasing into
     /// the (much larger) compiled-plan structs.
     plan_masks: Vec<u64>,
-    fallback: CostCache,
     memo: Mutex<Vec<MemoEntry<E>>>,
     memo_capacity: usize,
-    cache: Option<EpochCacheStore>,
     epoch_builds: AtomicU64,
     delta_builds: AtomicU64,
     recosted_queries: AtomicU64,
     epoch_reuses: AtomicU64,
     epoch_evictions: AtomicU64,
-    disk_hits: AtomicU64,
 }
 
 impl<'e, E: PlanningEngine> CostKernel<'e, E> {
@@ -220,15 +177,17 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
     /// every distinct query once. Returns the kernel plus the interned
     /// workloads, aligned with the input slice.
     pub fn build(engine: &'e E, workloads: &[Workload]) -> (Self, Vec<InternedWorkload>) {
-        Self::build_with(engine, workloads, KernelOptions::default())
+        Self::build_with(engine, workloads, EPOCH_MEMO_CAPACITY)
     }
 
-    /// [`build`](Self::build) with explicit [`KernelOptions`] (memo
-    /// capacity, persistent epoch cache).
+    /// [`build`](Self::build) with an explicit count of epochs kept in the
+    /// in-memory memo (clamped to ≥ 1). Replica fleets size it
+    /// `max(4, R + 2)` so every live replica epoch plus a candidate fits
+    /// without thrashing.
     pub fn build_with(
         engine: &'e E,
         workloads: &[Workload],
-        options: KernelOptions,
+        memo_capacity: usize,
     ) -> (Self, Vec<InternedWorkload>) {
         let mut interner = WorkloadInterner::new();
         let interned: Vec<InternedWorkload> =
@@ -238,25 +197,20 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
             .iter()
             .map(|q| engine.compile_plan(q))
             .collect();
-        let interner_fingerprint = interner_fingerprint(&interner);
-        let memo_capacity = options.memo_capacity.max(1);
+        let memo_capacity = memo_capacity.max(1);
         let plan_masks: Vec<u64> = plans.iter().map(|p| engine.plan_tables_mask(p)).collect();
         let kernel = Self {
             engine,
             interner,
-            interner_fingerprint,
             plans,
             plan_masks,
-            fallback: CostCache::default(),
             memo: Mutex::new(Vec::with_capacity(memo_capacity)),
             memo_capacity,
-            cache: options.epoch_cache,
             epoch_builds: AtomicU64::new(0),
             delta_builds: AtomicU64::new(0),
             recosted_queries: AtomicU64::new(0),
             epoch_reuses: AtomicU64::new(0),
             epoch_evictions: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
         };
         (kernel, interned)
     }
@@ -271,32 +225,21 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
         &self.interner
     }
 
-    /// Fingerprint of the interned query set — with the engine's version
-    /// tag and a design fingerprint, the persistent cache key.
-    pub fn interner_fingerprint(&self) -> u64 {
-        self.interner_fingerprint
-    }
-
     /// The latency epoch for `d`, cheapest source first:
     ///
     /// 1. **memo** — fingerprint hit returns the shared epoch;
     /// 2. **delta** — any memoized base: clone its vector, re-cost only
     ///    the queries depending on a touched structure;
-    /// 3. **disk** — a cold kernel consults the persistent store;
-    /// 4. **full** — fill the whole vector through the parallel map.
+    /// 3. **full** — fill the whole vector through the parallel map.
     ///
-    /// All four sources yield bit-identical vectors (delta by the
-    /// dependency-predicate contract, disk by checksum-verified bits from
-    /// an identical earlier build), so callers never observe which one
+    /// All three sources yield bit-identical vectors (delta by the
+    /// dependency-predicate contract), so callers never observe which one
     /// answered.
     pub fn epoch(&self, d: &E::Design) -> Arc<DesignEpoch> {
         let fingerprint = d.fingerprint();
         let base = {
             let mut memo = self.memo.lock();
-            if let Some(i) = memo
-                .iter()
-                .position(|e| e.epoch.fingerprint == fingerprint)
-            {
+            if let Some(i) = memo.iter().position(|e| e.epoch.fingerprint == fingerprint) {
                 let hit = memo.remove(i);
                 let epoch = Arc::clone(&hit.epoch);
                 memo.push(hit); // most-recently-used last
@@ -318,10 +261,7 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
                 &base_structures,
                 &structures,
             )),
-            None => match self.load_from_disk(fingerprint) {
-                Some(epoch) => epoch,
-                None => Arc::new(self.build_epoch(fingerprint, d)),
-            },
+            None => Arc::new(self.build_epoch(fingerprint, d)),
         };
         self.insert_memo(Arc::clone(&epoch), structures);
         epoch
@@ -395,33 +335,6 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
         memo.push(MemoEntry { epoch, structures });
     }
 
-    /// Consults the persistent store; `None` on miss or any rejected
-    /// (corrupt / mismatched) entry.
-    fn load_from_disk(&self, fingerprint: u64) -> Option<Arc<DesignEpoch>> {
-        let cache = self.cache.as_ref()?;
-        let lat = cache.load(
-            self.engine.engine_version_tag(),
-            self.interner_fingerprint,
-            fingerprint,
-            self.plans.len(),
-        )?;
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::new(DesignEpoch { fingerprint, lat }))
-    }
-
-    /// Persists a freshly built vector (best effort — I/O errors only cost
-    /// the next cold start a rebuild).
-    fn store_to_disk(&self, fingerprint: u64, lat: &[f64]) {
-        if let Some(cache) = &self.cache {
-            cache.store(
-                self.engine.engine_version_tag(),
-                self.interner_fingerprint,
-                fingerprint,
-                lat,
-            );
-        }
-    }
-
     fn build_epoch(&self, fingerprint: u64, d: &E::Design) -> DesignEpoch {
         let t0 = cliffguard_telemetry::metrics_enabled().then(std::time::Instant::now);
         let lat = cliffguard_parallel::par_map(&self.plans, |p| self.engine.plan_latency_ms(p, d));
@@ -431,7 +344,6 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
                 h.record(cliffguard_telemetry::elapsed_ms(t0));
             }
         }
-        self.store_to_disk(fingerprint, &lat);
         DesignEpoch { fingerprint, lat }
     }
 
@@ -469,8 +381,9 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
                 })
                 .collect()
         };
-        let recosted =
-            cliffguard_parallel::par_map(&dependent, |&i| self.engine.plan_latency_ms(&self.plans[i], d));
+        let recosted = cliffguard_parallel::par_map(&dependent, |&i| {
+            self.engine.plan_latency_ms(&self.plans[i], d)
+        });
         for (&i, v) in dependent.iter().zip(recosted) {
             lat[i] = v;
         }
@@ -486,13 +399,11 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
             {
                 ct.incr(dependent.len() as u64);
             }
-            if let Some(h) =
-                cliffguard_telemetry::histogram("cliffguard.sim.kernel.delta_build_ms")
+            if let Some(h) = cliffguard_telemetry::histogram("cliffguard.sim.kernel.delta_build_ms")
             {
                 h.record(cliffguard_telemetry::elapsed_ms(t0));
             }
         }
-        self.store_to_disk(fingerprint, &lat);
         DesignEpoch { fingerprint, lat }
     }
 
@@ -505,17 +416,13 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
     }
 
     /// Latency of one query under the epoch's design: a dense array read
-    /// for interned queries, the fallback [`CostCache`] (keyed like
-    /// [`CachedEngine`](crate::CachedEngine)) for one-off queries the
-    /// kernel has never seen.
+    /// for interned queries, a direct
+    /// [`Engine::query_latency_ms`](crate::Engine::query_latency_ms) call
+    /// for one-off queries the kernel has never seen.
     pub fn query_latency_ms(&self, q: &Query, d: &E::Design, epoch: &DesignEpoch) -> f64 {
         match self.interner.id_of(q) {
             Some(id) => epoch.latency_ms(id),
-            None => self
-                .fallback
-                .get_or_insert_with(q.signature(), epoch.fingerprint, || {
-                    self.engine.query_latency_ms(q, d)
-                }),
+            None => self.engine.query_latency_ms(q, d),
         }
     }
 
@@ -530,8 +437,6 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
             recosted_queries: self.recosted_queries.load(Ordering::Relaxed),
             epoch_reuses: self.epoch_reuses.load(Ordering::Relaxed),
             epoch_evictions: self.epoch_evictions.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            fallback: self.fallback.stats(),
         }
     }
 
@@ -565,17 +470,6 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
             }
         }
     }
-}
-
-/// Fingerprint of an interner's query set: per-query structural signatures
-/// mixed in dense-id order, count folded in last — the same splitmix
-/// scheme as the design fingerprint, so collision behavior matches.
-fn interner_fingerprint(interner: &WorkloadInterner) -> u64 {
-    let mut acc: u64 = 0x9e37_79b9_7f4a_7c15;
-    for q in interner.queries() {
-        acc = crate::engine::splitmix64(acc ^ q.signature().0);
-    }
-    crate::engine::splitmix64(acc ^ interner.len() as u64)
 }
 
 /// The structures whose multiset count differs between `a` and `b` — the
@@ -707,21 +601,17 @@ mod tests {
         let _ = kernel.epoch(&designs[0]);
         let after = kernel.stats();
         assert_eq!(after.epoch_builds + after.delta_builds, before + 1);
-        assert!(after.delta_builds >= 1, "rebuild should take the delta path");
+        assert!(
+            after.delta_builds >= 1,
+            "rebuild should take the delta path"
+        );
     }
 
     #[test]
     fn custom_memo_capacity_avoids_eviction() {
         let engine = ColumnarEngine::new(catalog());
         let ws = workloads();
-        let (kernel, _) = CostKernel::build_with(
-            &engine,
-            &ws,
-            KernelOptions {
-                memo_capacity: EPOCH_MEMO_CAPACITY + 4,
-                ..KernelOptions::default()
-            },
-        );
+        let (kernel, _) = CostKernel::build_with(&engine, &ws, EPOCH_MEMO_CAPACITY + 4);
         let designs: Vec<ColumnarDesign> = (0..=EPOCH_MEMO_CAPACITY as u32)
             .map(|i| design(&[1, 2 + i % 5], &[]))
             .collect();
@@ -782,14 +672,6 @@ mod tests {
         let direct = engine.query_latency_ms(&stranger, &d);
         let via_kernel = kernel.query_latency_ms(&stranger, &d, &epoch);
         assert_eq!(direct.to_bits(), via_kernel.to_bits());
-        let _ = kernel.query_latency_ms(&stranger, &d, &epoch);
-        let fb = kernel.stats().fallback;
-        assert_eq!(fb.misses, 1);
-        assert_eq!(fb.hits, 1);
-        // Interned queries never touch the fallback.
-        let (q0, _) = ws[0].iter().next().unwrap();
-        let _ = kernel.query_latency_ms(q0, &d, &epoch);
-        assert_eq!(kernel.stats().fallback.lookups(), 2);
     }
 
     #[test]
@@ -801,20 +683,5 @@ mod tests {
         assert_eq!(s.interned_queries, 3, "three distinct queries");
         assert_eq!(s.raw_entries, 5, "five entries across the workloads");
         assert!((s.dedup_ratio - 5.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interner_fingerprint_tracks_query_set() {
-        let engine = ColumnarEngine::new(catalog());
-        let ws = workloads();
-        let (a, _) = CostKernel::build(&engine, &ws);
-        let (b, _) = CostKernel::build(&engine, &ws);
-        assert_eq!(
-            a.interner_fingerprint(),
-            b.interner_fingerprint(),
-            "same workloads → same fingerprint"
-        );
-        let (c, _) = CostKernel::build(&engine, &ws[..1]);
-        assert_ne!(a.interner_fingerprint(), c.interner_fingerprint());
     }
 }

@@ -27,22 +27,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod columnar;
 mod engine;
-mod epoch_cache;
 mod kernel;
 mod replica;
 mod row;
 
 pub mod ddl;
 
-pub use cache::{CacheStats, CachedEngine, CostCache};
 pub use columnar::{
     ColumnarDesign, ColumnarEngine, ColumnarExplain, ColumnarPlan, Projection, TableAccess,
 };
 pub use engine::{table_mask_bit, Engine, PhysicalDesign, PlanningEngine, WorkloadCost};
-pub use epoch_cache::EpochCacheStore;
-pub use kernel::{CostKernel, DesignEpoch, KernelOptions, KernelStats};
+pub use kernel::{CostKernel, DesignEpoch, KernelStats};
 pub use replica::{combine_fingerprints, QueryRouter};
 pub use row::{Index, MatView, RowDesign, RowEngine, RowPath, RowPlan, RowStructure};

@@ -534,9 +534,10 @@ impl PlanningEngine for RowEngine {
             // only when it matches the table and some predicate prefix
             // (`prefix_selectivity < 1.0` — the exact skip condition in
             // `table_access`).
-            RowStructure::Index(i) => plan.tables.iter().any(|pt| {
-                pt.table == i.table && Self::prefix_selectivity(&i.key, &pt.preds) < 1.0
-            }),
+            RowStructure::Index(i) => plan
+                .tables
+                .iter()
+                .any(|pt| pt.table == i.table && Self::prefix_selectivity(&i.key, &pt.preds) < 1.0),
             // MVs are matched at the anchor only, and only for grouped
             // aggregates over the view's table.
             RowStructure::MatView(v) => {
@@ -545,10 +546,6 @@ impl PlanningEngine for RowEngine {
                     && plan.tables.first().is_some_and(|pt| pt.table == v.table)
             }
         }
-    }
-
-    fn engine_version_tag(&self) -> &'static str {
-        "row-v1"
     }
 
     fn plan_tables_mask(&self, plan: &RowPlan) -> u64 {

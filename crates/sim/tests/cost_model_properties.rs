@@ -155,6 +155,48 @@ proptest! {
         prop_assert!(c.max_ms >= c.avg_ms - 1e-9);
         prop_assert!((c.total_ms / w.total_weight() - c.avg_ms).abs() < 1e-6);
     }
+
+    /// Designs with different structure sets get different fingerprints;
+    /// the same set in any order gets the same one. The cost kernel keys
+    /// its epoch memo by this fingerprint, so a collision would serve one
+    /// design's latencies for another.
+    #[test]
+    fn distinct_designs_do_not_collide(
+        groups_a in proptest::collection::vec(
+            proptest::collection::vec(0u32..N_COLS, 1..4), 0..5),
+        groups_b in proptest::collection::vec(
+            proptest::collection::vec(0u32..N_COLS, 1..4), 0..5),
+    ) {
+        let a = design_of(&groups_a);
+        let b = design_of(&groups_b);
+        if canonical(&a) == canonical(&b) {
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
+        } else {
+            prop_assert_ne!(a.fingerprint(), b.fingerprint());
+        }
+        // Order insensitivity, explicitly: reversed construction.
+        let mut reversed = groups_a.clone();
+        reversed.reverse();
+        prop_assert_eq!(a.fingerprint(), design_of(&reversed).fingerprint());
+    }
+}
+
+/// A design of unsorted projections, one per column group.
+fn design_of(col_groups: &[Vec<u32>]) -> ColumnarDesign {
+    ColumnarDesign::from_structures(
+        col_groups
+            .iter()
+            .map(|g| Projection::new(TableId(0), ColumnSet::from_ids(g), vec![]))
+            .collect(),
+    )
+}
+
+/// Canonical form of a design's structure set, for deciding whether two
+/// generated designs are actually distinct.
+fn canonical(d: &ColumnarDesign) -> Vec<String> {
+    let mut s: Vec<String> = d.structures().iter().map(|p| format!("{p:?}")).collect();
+    s.sort();
+    s
 }
 
 #[test]

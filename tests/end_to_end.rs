@@ -1,6 +1,7 @@
 //! End-to-end pipeline: generator → catalog → parser-compatible queries →
 //! windows → designers → evaluation, across both engines.
 
+use cliffguard::core::evaluate::DesignableFilter;
 use cliffguard::prelude::*;
 
 fn small_r1() -> (SchemaShape, Vec<Workload>) {
@@ -97,4 +98,79 @@ fn generated_queries_survive_sql_round_trip() {
         checked += 1;
     }
     assert!(checked > 0);
+}
+
+/// Passes every call through to `inner`, keeping each design it returns
+/// with the index of the window it was built for.
+struct Recording<S> {
+    inner: S,
+    designs: Vec<(usize, ColumnarDesign)>,
+}
+
+impl<S: DesignStrategy<ColumnarEngine>> DesignStrategy<ColumnarEngine> for Recording<S> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn design(&mut self, ctx: &WindowCtx<'_, ColumnarEngine>) -> ColumnarDesign {
+        let design = self.inner.design(ctx);
+        self.designs.push((ctx.window_index, design.clone()));
+        design
+    }
+}
+
+#[test]
+fn evaluate_rows_equal_direct_costing_of_the_next_window() {
+    // The five strategies `cliffguard evaluate` prints: each per-window
+    // Avg/Max must be the engine's own cost of that window's design on
+    // the designable part of the next window, bit for bit.
+    fn check<S: DesignStrategy<ColumnarEngine>>(
+        engine: &ColumnarEngine,
+        windows: &[Workload],
+        metric: &DeltaEuclidean,
+        opts: &EvalOptions,
+        strategy: S,
+    ) {
+        let mut recording = Recording {
+            inner: strategy,
+            designs: Vec::new(),
+        };
+        let r = evaluate_strategy(engine, &mut recording, windows, metric, opts);
+        assert!(!r.windows.is_empty(), "{}", r.strategy);
+        assert_eq!(r.windows.len(), recording.designs.len(), "{}", r.strategy);
+        let mut filter = DesignableFilter::new(engine, opts.designable_factor);
+        for (row, (i, design)) in r.windows.iter().zip(&recording.designs) {
+            assert_eq!(row.window, *i, "{}", r.strategy);
+            let test = filter.filter_workload(&windows[i + 1]);
+            let direct = engine.workload_cost(&test, design);
+            assert_eq!(
+                (row.avg_ms.to_bits(), row.max_ms.to_bits()),
+                (direct.avg_ms.to_bits(), direct.max_ms.to_bits()),
+                "{} diverged from the engine on window {i}",
+                r.strategy
+            );
+        }
+    }
+
+    let (shape, windows) = small_r1();
+    let engine = ColumnarEngine::new(CatalogGenerator::default().generate(&shape));
+    let metric = DeltaEuclidean::new(shape.column_count());
+    let opts = EvalOptions {
+        budget_bytes: 60 << 30,
+        designable_factor: 3.0,
+    };
+    let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
+    let (e, w, m, o) = (&engine, &windows[..], &metric, &opts);
+    check(e, w, m, o, NoDesign);
+    check(e, w, m, o, ExistingDesigner::new(&nominal));
+    check(e, w, m, o, FutureKnowingDesigner::new(&nominal));
+    check(e, w, m, o, AdaptiveIndexingStrategy::<Projection>::new());
+    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    check(
+        e,
+        w,
+        m,
+        o,
+        CliffGuardStrategy::new(&nominal, metric, gamma, 7),
+    );
 }

@@ -1,58 +1,19 @@
-//! Delta epochs and the persistent warm-start cache: bit-identity and
-//! fallback properties.
+//! Delta epochs: bit-identity with full rebuilds.
 //!
-//! Three contracts pinned here:
-//!
-//! 1. **Delta == full, bit-for-bit.** [`CostKernel::epoch_from`] re-costs
-//!    only the queries whose plans depend on a touched structure and
-//!    splices them into a clone of the base epoch. For any base/target
-//!    design pair and any thread count, the result must carry the exact
-//!    bits a from-scratch build produces (property-tested at 1 and 8
-//!    threads).
-//! 2. **Warm starts change nothing but time.** Two identical design
-//!    sessions — one on a cold epoch cache, one warm-started from the
-//!    first's persisted snapshots — must emit byte-identical audits and
-//!    designs.
-//! 3. **Poisoned caches degrade to rebuilds.** A cache entry with a wrong
-//!    engine tag, a truncated body, or a flipped latency bit is rejected
-//!    and rebuilt from scratch; the rebuild overwrites the bad entry.
+//! [`CostKernel::epoch_from`] re-costs only the queries whose plans depend
+//! on a touched structure and splices them into a clone of the base
+//! epoch. For any base/target design pair and any thread count, the
+//! result must carry the exact bits a from-scratch build produces
+//! (property-tested at 1 and 8 threads).
 
 use cliffguard::prelude::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
 /// Thread counts the identity must hold at (1 = fully inline baseline).
 const THREAD_COUNTS: [usize; 2] = [1, 8];
-
-/// A self-cleaning scratch directory (no tempfile dependency).
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(label: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "cliffguard-delta-{label}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Small drifting-workload fixture (same shape as `kernel_identity.rs`).
 fn fixture(seed: u64) -> (ColumnarEngine, Vec<Workload>) {
@@ -128,130 +89,5 @@ proptest! {
             prop_assert_eq!(kernel.stats().recosted_queries, before);
         }
         set_threads(1);
-    }
-}
-
-/// Runs one deterministic robust design session against `cache_dir` and
-/// renders its audit (design fingerprint, DDL, worst-case trace bits) as
-/// one comparable string.
-fn session_audit(cache_dir: &std::path::Path) -> String {
-    let (engine, windows) = fixture(77);
-    let (w0, history) = windows.split_last().expect("fixture has windows");
-    let metric = DeltaEuclidean::new(engine.catalog().column_count());
-    let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-    let pool: Vec<Arc<Query>> = history
-        .iter()
-        .flat_map(|w| w.queries())
-        .cloned()
-        .collect();
-    let options = SessionOptions {
-        epoch_cache: Some(EpochCacheStore::open(cache_dir).expect("open epoch cache")),
-        ..SessionOptions::default()
-    };
-    let session = DesignSession::new(
-        &engine,
-        Reliable(&nominal),
-        metric,
-        CliffGuardConfig::new(0.08),
-        options,
-    )
-    .expect("valid session config");
-    let (design, trace) = session.run(w0, 512 << 20, &pool).into_design();
-    let worst_bits: Vec<String> = trace
-        .worst_case_per_iter
-        .iter()
-        .map(|x| format!("{:016x}", x.to_bits()))
-        .collect();
-    format!(
-        "fp={:016x} calls={} worst=[{}]\n{}",
-        design.fingerprint(),
-        trace.designer_calls,
-        worst_bits.join(","),
-        cliffguard::sim::ddl::columnar_script(&design, engine.catalog()),
-    )
-}
-
-/// A warm-started session (second run over a shared cache directory) is
-/// byte-identical to the cold run that populated the cache.
-#[test]
-fn warm_start_session_audit_is_byte_identical() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    set_threads(1);
-    let scratch = Scratch::new("warm");
-    let cold = session_audit(scratch.path());
-    let snapshots = std::fs::read_dir(scratch.path())
-        .expect("read cache dir")
-        .count();
-    assert!(snapshots > 0, "cold run must persist epoch snapshots");
-    let warm = session_audit(scratch.path());
-    assert_eq!(cold, warm, "warm start must not change a single byte");
-}
-
-/// Every poisoning mode — wrong engine tag, truncation, a flipped latency
-/// bit — is rejected on load; the kernel rebuilds from scratch and the
-/// rebuilt bits match an uncached kernel exactly.
-#[test]
-fn poisoned_cache_entries_fall_back_to_clean_rebuilds() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    set_threads(1);
-    let (engine, windows) = fixture(11);
-    let design = design_from(&engine, &windows[0], 3, 19);
-    let (reference, _) = CostKernel::build(&engine, &windows);
-    let want = reference.epoch(&design);
-
-    let poisons: [(&str, fn(&str) -> String); 3] = [
-        ("wrong-tag", |text| text.replacen("columnar-v1", "columnar-v0", 1)),
-        ("truncated", |text| text[..text.len() / 2].to_string()),
-        ("bit-flip", |text| {
-            // Flip the low bit of the first persisted latency word.
-            let start = text.find("\"lat_bits\":[").expect("lat_bits field") + 12;
-            let end = start
-                + text[start..]
-                    .find([',', ']'])
-                    .expect("list delimiter");
-            let bits: u64 = text[start..end].parse().expect("latency bits");
-            format!("{}{}{}", &text[..start], bits ^ 1, &text[end..])
-        }),
-    ];
-    for (label, poison) in poisons {
-        let scratch = Scratch::new(label);
-        let store = EpochCacheStore::open(scratch.path()).expect("open epoch cache");
-        // Populate, then corrupt every snapshot in place.
-        let (writer, _) = CostKernel::build_with(
-            &engine,
-            &windows,
-            KernelOptions {
-                epoch_cache: Some(store.clone()),
-                ..KernelOptions::default()
-            },
-        );
-        let _ = writer.epoch(&design);
-        let mut corrupted = 0;
-        for entry in std::fs::read_dir(scratch.path()).expect("read cache dir") {
-            let path = entry.expect("dir entry").path();
-            let text = std::fs::read_to_string(&path).expect("read snapshot");
-            std::fs::write(&path, poison(&text)).expect("write poisoned snapshot");
-            corrupted += 1;
-        }
-        assert!(corrupted > 0, "{label}: no snapshots to poison");
-
-        // A cold kernel over the poisoned store: the load must miss and
-        // the full rebuild must reproduce the reference bits.
-        let (kernel, _) = CostKernel::build_with(
-            &engine,
-            &windows,
-            KernelOptions {
-                epoch_cache: Some(store),
-                ..KernelOptions::default()
-            },
-        );
-        let got = kernel.epoch(&design);
-        let stats = kernel.stats();
-        assert_eq!(stats.disk_hits, 0, "{label}: poisoned entry must not load");
-        assert_eq!(stats.epoch_builds, 1, "{label}: expected a full rebuild");
-        assert_eq!(got.fingerprint(), want.fingerprint());
-        for (g, w) in got.latencies().iter().zip(want.latencies()) {
-            assert_eq!(g.to_bits(), w.to_bits(), "{label}: rebuild diverged");
-        }
     }
 }

@@ -145,30 +145,3 @@ fn evaluate_strategy_is_identical_across_thread_counts() {
         );
     }
 }
-
-#[test]
-fn cached_engine_is_identical_to_uncached_in_parallel() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let (shape, windows) = fixture();
-    let catalog = CatalogGenerator::default().generate(&shape);
-    let engine = ColumnarEngine::new(catalog);
-    let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-    let design = nominal.design(&windows[0], 40 << 30);
-
-    set_threads(8);
-    let cached = CachedEngine::new(&engine);
-    for w in &windows {
-        let plain = engine.workload_cost(w, &design);
-        // Twice: the second pass must be all hits and still bit-identical.
-        for _ in 0..2 {
-            let memo = cached.workload_cost(w, &design);
-            assert_eq!(plain.avg_ms.to_bits(), memo.avg_ms.to_bits());
-            assert_eq!(plain.max_ms.to_bits(), memo.max_ms.to_bits());
-            assert_eq!(plain.total_ms.to_bits(), memo.total_ms.to_bits());
-        }
-    }
-    let stats = cached.cache_stats();
-    assert!(stats.hits > 0);
-    assert_eq!(stats.lookups(), stats.hits + stats.misses);
-    set_threads(1);
-}
