@@ -85,8 +85,10 @@ impl CandidateGen<ColumnarEngine> for ColumnarCandidates {
         let mut out: Vec<Projection> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         // Per-table merged column sets (weighted by query frequency for the
-        // merged candidate's sort order choice).
-        let mut merged: HashMap<TableId, (ColumnSet, HashMap<ColumnId, f64>)> = HashMap::new();
+        // merged candidate's sort order choice), in first-seen table order
+        // so the candidate list never follows hash-map iteration order.
+        let mut merged: Vec<(TableId, ColumnSet, HashMap<ColumnId, f64>)> = Vec::new();
+        let mut slot: HashMap<TableId, usize> = HashMap::new();
 
         for (q, wt) in w.iter() {
             let mut tables = vec![q.anchor];
@@ -95,7 +97,11 @@ impl CandidateGen<ColumnarEngine> for ColumnarCandidates {
                 let Some(p) = Self::tailored(engine, q, t) else {
                     continue;
                 };
-                let (cols, votes) = merged.entry(t).or_default();
+                let i = *slot.entry(t).or_insert_with(|| {
+                    merged.push((t, ColumnSet::default(), HashMap::new()));
+                    merged.len() - 1
+                });
+                let (_, cols, votes) = &mut merged[i];
                 cols.union_with(&p.columns);
                 for (rank, &c) in p.sort_order.iter().enumerate() {
                     *votes.entry(c).or_insert(0.0) += wt / (rank + 1) as f64;
@@ -109,7 +115,7 @@ impl CandidateGen<ColumnarEngine> for ColumnarCandidates {
         // variant per highly-voted lead sort column (Vertica's DBD likewise
         // proposes a few differently-sorted table-wide projections — the
         // generalizing backbone that also serves queries it never saw).
-        for (t, (cols, votes)) in merged {
+        for (t, cols, votes) in merged {
             let mut ranked: Vec<(ColumnId, f64)> = votes.into_iter().collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             let top: Vec<ColumnId> = ranked
@@ -279,6 +285,33 @@ mod tests {
             cands.iter().any(|p| p.columns == union),
             "expected a merged candidate with {union}"
         );
+    }
+
+    #[test]
+    fn columnar_candidates_repeat_across_calls() {
+        // Eight tables with two queries each, so every table gets a merged
+        // candidate: hash-ordered merging would reorder those between two
+        // calls almost surely.
+        let e = ColumnarEngine::new(Catalog::new(
+            (0..8)
+                .map(|t| TableDef {
+                    name: format!("t{t}"),
+                    ..catalog().table(TableId(0)).clone()
+                })
+                .collect(),
+        ));
+        let w = Workload::from_queries((0..8u32).flat_map(|t| {
+            [2, 3].map(|c| {
+                let q = QueryBuilder::new(TableId(t))
+                    .select(&[6 * t + c])
+                    .filter(6 * t + 1, PredOp::Eq, 0.01)
+                    .build();
+                (q, 1.0)
+            })
+        }));
+        let first = ColumnarCandidates.candidates(&e, &w);
+        assert_eq!(first.len(), 24, "16 tailored + 8 merged candidates");
+        assert_eq!(first, ColumnarCandidates.candidates(&e, &w));
     }
 
     #[test]
