@@ -12,7 +12,14 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ids: Vec<String> = Vec::new();
+    // Resolved before anything runs: an unknown id is a usage error, and
+    // a repeated id runs once, in first-seen order.
+    let mut ids: Vec<&'static str> = Vec::new();
+    let mut add = |id: &'static str| {
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    };
     let mut scale = Scale::Full;
     let mut seed = 42u64;
     let mut json_path: Option<String> = None;
@@ -55,8 +62,14 @@ fn main() {
                 usage();
                 return;
             }
-            "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            other => ids.push(other.to_string()),
+            "all" => ALL_IDS.iter().copied().for_each(&mut add),
+            other => match ALL_IDS.iter().find(|&&id| id == other) {
+                Some(&id) => add(id),
+                None => die(&format!(
+                    "unknown experiment `{other}`; known: {}",
+                    ALL_IDS.join(", ")
+                )),
+            },
         }
         i += 1;
     }
@@ -64,24 +77,16 @@ fn main() {
         usage();
         return;
     }
-    ids.dedup();
 
     let mut all_tables: Vec<Table> = Vec::new();
-    for id in &ids {
+    for id in ids {
         let t0 = Instant::now();
-        match run_experiment(id, scale, seed) {
-            Some(tables) => {
-                for t in &tables {
-                    println!("{t}");
-                }
-                eprintln!("[{id}] done in {:.1}s", t0.elapsed().as_secs_f64());
-                all_tables.extend(tables);
-            }
-            None => {
-                eprintln!("unknown experiment `{id}`; known: {}", ALL_IDS.join(", "));
-                std::process::exit(2);
-            }
+        let tables = run_experiment(id, scale, seed).expect("ids are resolved against ALL_IDS");
+        for t in &tables {
+            println!("{t}");
         }
+        eprintln!("[{id}] done in {:.1}s", t0.elapsed().as_secs_f64());
+        all_tables.extend(tables);
     }
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&all_tables).expect("serializable");

@@ -1,14 +1,8 @@
-//! One module per reproduced table/figure.
+//! One module per reproduced table/figure; nothing else runs here.
 
 mod basic;
 mod comparison;
-pub mod costkernel;
-pub mod ingest;
 mod knobs;
-pub mod replica;
-pub mod resilience;
-pub mod serve;
-pub mod telemetry;
 
 pub use basic::{fig05, fig06, fig16, table1};
 pub use comparison::{fig07, fig10, fig14, fig15};
@@ -19,25 +13,8 @@ use crate::table::Table;
 
 /// All experiment ids, in paper order.
 pub const ALL_IDS: &[&str] = &[
-    "table1",
-    "fig05",
-    "fig06",
-    "fig07",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "resilience",
-    "telemetry",
-    "costkernel",
-    "ingest",
-    "serve",
-    "replica",
+    "table1", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
+    "fig14", "fig15", "fig16",
 ];
 
 /// Runs one experiment by id.
@@ -56,12 +33,6 @@ pub fn run_experiment(id: &str, scale: Scale, seed: u64) -> Option<Vec<Table>> {
         "fig14" => Some(fig14::run(scale, seed)),
         "fig15" => Some(fig15::run(scale, seed)),
         "fig16" => Some(fig16::run(scale, seed)),
-        "resilience" => Some(resilience::run(scale, seed)),
-        "telemetry" => Some(telemetry::run(scale, seed)),
-        "costkernel" => Some(costkernel::run(scale, seed)),
-        "ingest" => Some(ingest::run(scale, seed)),
-        "serve" => Some(serve::run(scale, seed)),
-        "replica" => Some(replica::run(scale, seed)),
         _ => None,
     }
 }
@@ -73,7 +44,7 @@ mod tests {
     #[test]
     fn every_listed_id_dispatches() {
         // Run the cheapest experiment fully; just check dispatch for the
-        // rest (they are exercised by the criterion benches and the binary).
+        // rest (the `experiments` binary runs them all).
         assert!(run_experiment("bogus", Scale::Tiny, 1).is_none());
         let t = run_experiment("table1", Scale::Tiny, 1).unwrap();
         assert!(!t.is_empty());

@@ -4,9 +4,9 @@
 //! Each experiment lives in [`experiments`] as a `run(scale, seed)`
 //! function returning printable [`Table`]s whose rows/series match what the
 //! paper reports. The `experiments` binary drives them
-//! (`cargo run --release -p cliffguard-bench --bin experiments -- all`),
-//! and the criterion benches in `benches/` time each experiment at
-//! [`Scale::Tiny`].
+//! (`cargo run --release -p cliffguard-bench --bin experiments -- all`).
+//! Performance is measured elsewhere, by the `perf` benchmark in
+//! `src/bin/perf/`; this crate only regenerates the paper's numbers.
 //!
 //! | id     | paper artifact                                            |
 //! |--------|-----------------------------------------------------------|

@@ -5,11 +5,10 @@
 /// The paper's testbed processed 430K queries against 151 GB over months of
 /// wall-clock; the simulator reproduces the *shapes* at a fraction of the
 /// volume. `Full` is the default for the `experiments` binary, `Quick` for
-/// smoke runs, `Tiny` for the criterion benches (which time each experiment
-/// end to end and need sub-second iterations).
+/// smoke runs, `Tiny` for tests (every experiment in seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Criterion-bench scale: minimal but exercising every code path.
+    /// Test scale: minimal but exercising every code path.
     Tiny,
     /// Smoke-run scale.
     Quick,

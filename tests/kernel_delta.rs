@@ -91,3 +91,87 @@ proptest! {
         set_threads(1);
     }
 }
+
+/// Single-structure touches on a wide workload re-cost only the queries
+/// the touched projection can serve, not every query on its table: the
+/// dependency predicate, not the table-mask prefilter, keeps the re-costed
+/// fraction under half. Three in four queries sit on the widest table,
+/// so a predicate that matched on the table alone would re-cost at least
+/// three quarters of the workload per touch.
+#[test]
+fn single_structure_touches_recost_under_half_the_workload() {
+    const QUERIES: usize = 1024;
+    const TOUCHES: usize = 8;
+    let (engine, _) = fixture(7);
+    let catalog = engine.catalog();
+    let mut tables: Vec<TableId> = catalog
+        .tables()
+        .filter(|&t| catalog.table(t).columns.len() >= 2)
+        .collect();
+    // Widest first; ties keep catalog order.
+    tables.sort_by_key(|&t| std::cmp::Reverse(catalog.table(t).columns.len()));
+    assert!(tables.len() >= 2, "fixture must have two two-column tables");
+    let (fact, others) = tables.split_first().expect("non-empty");
+    let col0 = |t: TableId| catalog.column_id(t, 0).0;
+    let width = |t: TableId| catalog.table(t).columns.len() as u32;
+
+    // `select a / filter a+1` with a query-unique selectivity, so every
+    // query interns separately.
+    let workload = Workload::from_queries((0..QUERIES).map(|i| {
+        let t = if i % 4 == 0 {
+            others[i / 4 % others.len()]
+        } else {
+            *fact
+        };
+        let a = col0(t) + (i as u32 / 4) % (width(t) - 1);
+        let q = QueryBuilder::new(t)
+            .select(&[a])
+            .filter(a + 1, PredOp::Eq, 0.001 + i as f64 * 1e-5)
+            .build();
+        (q, 1.0)
+    }));
+    let workloads = [workload];
+    let two_col_projection = |k: u32| {
+        let k = col0(*fact) + k % (width(*fact) - 1);
+        Projection::new(*fact, ColumnSet::from_ids(&[k, k + 1]), vec![ColumnId(k)])
+    };
+    let base = ColumnarDesign::from_structures(vec![two_col_projection(0), two_col_projection(2)]);
+    let targets: Vec<ColumnarDesign> = (0..TOUCHES as u32)
+        .map(|i| {
+            let mut structures = base.structures();
+            structures.push(two_col_projection(4 + i));
+            ColumnarDesign::from_structures(structures)
+        })
+        .collect();
+
+    let (kernel, _) = CostKernel::build(&engine, &workloads);
+    let _ = kernel.epoch(&base);
+    for (i, target) in targets.iter().enumerate() {
+        let delta = kernel.epoch_from(&base, target);
+        let (fresh, _) = CostKernel::build(&engine, &workloads);
+        let full = fresh.epoch(target);
+        assert_eq!(
+            fresh.stats().delta_builds,
+            0,
+            "fresh kernel must build fully"
+        );
+        assert_eq!(delta.fingerprint(), full.fingerprint());
+        for (q, (d, f)) in delta.latencies().iter().zip(full.latencies()).enumerate() {
+            assert_eq!(
+                d.to_bits(),
+                f.to_bits(),
+                "delta epoch diverged from full build at target {i}, query {q}"
+            );
+        }
+    }
+
+    let stats = kernel.stats();
+    assert_eq!(stats.interned_queries, QUERIES, "every query is distinct");
+    assert_eq!(stats.delta_builds, TOUCHES as u64);
+    let fraction =
+        stats.recosted_queries as f64 / (stats.delta_builds * stats.interned_queries as u64) as f64;
+    assert!(
+        fraction > 0.0 && fraction < 0.5,
+        "delta builds re-costed {fraction} of the workload per touch"
+    );
+}
