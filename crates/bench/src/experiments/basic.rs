@@ -111,8 +111,7 @@ pub mod fig06 {
     use cliffguard_distance::{DeltaEuclidean, NeighborhoodSampler, WorkloadDistance};
     use cliffguard_sim::Engine;
     use cliffguard_workload::generator::WorkloadProfile;
-    use cliffguard_workload::Query;
-    use std::sync::Arc;
+    use cliffguard_workload::query_pool;
 
     /// Runs the experiment.
     pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
@@ -122,15 +121,7 @@ pub mod fig06 {
         let designer = GreedyDesigner::new(engine, ColumnarCandidates, "DBD");
 
         // Pool: every distinct query in the trace.
-        let mut pool: Vec<Arc<Query>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for w in &setup.windows {
-            for q in w.queries() {
-                if seen.insert(q.signature()) {
-                    pool.push(Arc::clone(q));
-                }
-            }
-        }
+        let pool = query_pool(&setup.windows);
 
         // For several anchor windows, perturb to increasing distances and
         // measure latency on the anchor's nominal design.
@@ -194,8 +185,7 @@ pub mod fig16 {
     };
     use cliffguard_sim::{ColumnarDesign, Engine};
     use cliffguard_workload::generator::WorkloadProfile;
-    use cliffguard_workload::Query;
-    use std::sync::Arc;
+    use cliffguard_workload::{query_pool, Query};
 
     /// Runs the experiment.
     pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
@@ -204,15 +194,7 @@ pub mod fig16 {
         let designer = GreedyDesigner::new(engine, ColumnarCandidates, "DBD");
         let euclid = DeltaEuclidean::new(setup.n_columns);
 
-        let mut pool: Vec<Arc<Query>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for w in &setup.windows {
-            for q in w.queries() {
-                if seen.insert(q.signature()) {
-                    pool.push(Arc::clone(q));
-                }
-            }
-        }
+        let pool = query_pool(&setup.windows);
 
         let mut out = Vec::new();
         for (sub, omega) in [("fig16a", 0.1), ("fig16b", 0.2)] {

@@ -40,14 +40,6 @@ fn windows_for(profile: WorkloadProfile, scale: Scale, seed: u64) -> (Vec<Worklo
     (windows, shape.column_count())
 }
 
-fn data_bytes<E: Engine>(engine: &E) -> u64 {
-    engine
-        .catalog()
-        .tables()
-        .map(|t| engine.catalog().table(t).rows * engine.catalog().table(t).row_width())
-        .sum()
-}
-
 /// Builds the columnar fixture for a profile.
 pub fn columnar_setup(profile: WorkloadProfile, scale: Scale, seed: u64) -> ColumnarSetup {
     let (windows, n_columns) = windows_for(profile, scale, seed);
@@ -63,7 +55,7 @@ pub fn columnar_setup(profile: WorkloadProfile, scale: Scale, seed: u64) -> Colu
     }
     .generate(&shape);
     let engine = ColumnarEngine::new(catalog);
-    let budget = (data_bytes(&engine) as f64 * 0.3) as u64;
+    let budget = (engine.catalog().data_bytes() as f64 * 0.3) as u64;
     ColumnarSetup {
         engine,
         windows,
@@ -102,7 +94,7 @@ pub fn row_setup(profile: WorkloadProfile, scale: Scale, seed: u64) -> RowSetup 
     .generate(&shape);
     let engine = RowEngine::new(catalog);
     // The paper gave DBMS-X a 10 GB budget on a 20 GB dataset.
-    let budget = (data_bytes(&engine) as f64 * 0.5) as u64;
+    let budget = (engine.catalog().data_bytes() as f64 * 0.5) as u64;
     RowSetup {
         engine,
         windows,

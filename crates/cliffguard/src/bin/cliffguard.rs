@@ -14,8 +14,13 @@
 
 use cliffguard::cli::{parse_flags, Flags};
 use cliffguard::prelude::*;
+use cliffguard::serve::{
+    run_design, BudgetSpec, DesignInputs, DesignRequest, GammaSpec, RunOutcome, RunnerOptions,
+};
 use cliffguard::sim::ddl;
 use cliffguard::trace_schema::TraceSchema;
+use cliffguard::workload::logio::ImportReport;
+use cliffguard::workload::{window_secs, SECS_PER_DAY};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -207,40 +212,72 @@ fn load_catalog(opts: &Flags) -> Result<Catalog, String> {
     Ok(cat)
 }
 
-fn load_log(opts: &Flags, catalog: &Catalog) -> Result<QueryLog, String> {
-    let path = flag(opts, "log")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let (log, report) = cliffguard::workload::logio::import_log(&text, catalog);
+fn numeric<T: std::str::FromStr>(opts: &Flags, name: &str) -> Result<Option<T>, String> {
+    match opts.get(name) {
+        None => Ok(None),
+        Some(s) => s
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("bad --{name} `{s}`")),
+    }
+}
+
+fn print_import(report: &ImportReport) {
     eprintln!(
         "log: {} parsed, {} unparseable, {} malformed",
         report.parsed, report.skipped_sql, report.skipped_malformed
     );
+}
+
+fn load_log(opts: &Flags, catalog: &Catalog) -> Result<QueryLog, String> {
+    let path = flag(opts, "log")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let (log, report) = cliffguard::workload::logio::import_log(&text, catalog);
+    print_import(&report);
     if log.is_empty() {
         return Err("no parseable queries in the log".into());
     }
     Ok(log)
 }
 
-fn window_days(opts: &Flags) -> u64 {
-    opts.get("window-days")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(28)
+/// `--window-days`, under the same rule as the daemon's `window_days`.
+fn window_days(opts: &Flags) -> Result<u64, String> {
+    let Some(s) = opts.get("window-days") else {
+        return Ok(28);
+    };
+    s.parse()
+        .ok()
+        .filter(|&days| window_secs(days).is_some())
+        .ok_or_else(|| {
+            format!(
+                "bad --window-days `{s}` (want a whole number of days in 1..={})",
+                u64::MAX / SECS_PER_DAY
+            )
+        })
 }
 
-fn auto_budget(engine: &ColumnarEngine) -> u64 {
-    let data: u64 = engine
-        .catalog()
-        .tables()
-        .map(|t| engine.catalog().table(t).rows * engine.catalog().table(t).row_width())
-        .sum();
-    (data as f64 * 0.3) as u64
-}
-
-fn budget(opts: &Flags, engine: &ColumnarEngine) -> Result<u64, String> {
+fn budget_spec(opts: &Flags) -> Result<BudgetSpec, String> {
     match opts.get("budget").map(|s| s.as_str()) {
-        None | Some("auto") | Some("") => Ok(auto_budget(engine)),
-        Some(s) => s.parse().map_err(|_| format!("bad --budget `{s}`")),
+        None | Some("auto") | Some("") => Ok(BudgetSpec::Auto),
+        Some(s) => s
+            .parse()
+            .map(BudgetSpec::Bytes)
+            .map_err(|_| format!("bad --budget `{s}`")),
     }
+}
+
+/// The fault plan of `--faults`, else of `CLIFFGUARD_FAULTS`, with the
+/// spec it parses from.
+fn fault_spec(opts: &Flags) -> Result<Option<(String, FaultPlan)>, String> {
+    let (spec, source) = match opts.get("faults") {
+        Some(spec) => (spec.clone(), "--faults"),
+        None => match std::env::var(FAULTS_ENV) {
+            Ok(spec) if !spec.trim().is_empty() => (spec, FAULTS_ENV),
+            _ => return Ok(None),
+        },
+    };
+    let plan = FaultPlan::from_spec(&spec).map_err(|e| format!("{source}: {e}"))?;
+    Ok(Some((spec, plan)))
 }
 
 // ------------------------------------------------------------- generate --
@@ -288,11 +325,12 @@ fn cmd_generate(opts: &Flags) -> Result<(), String> {
 fn cmd_stats(opts: &Flags) -> Result<(), String> {
     let catalog = load_catalog(opts)?;
     let log = load_log(opts, &catalog)?;
-    let windows = log.windows_days(window_days(opts));
+    let days = window_days(opts)?;
+    let windows = log.windows_days(days);
     let metric = DeltaEuclidean::new(catalog.column_count());
     let deltas = consecutive_deltas(&metric, &windows);
     let stats = DeltaStats::of(&deltas);
-    println!("windows: {} of {} days", windows.len(), window_days(opts));
+    println!("windows: {} of {days} days", windows.len());
     println!(
         "inter-window delta: min {:.5}  max {:.5}  avg {:.5}  std {:.5}",
         stats.min, stats.max, stats.avg, stats.std
@@ -321,99 +359,66 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
 
 // --------------------------------------------------------------- design --
 
+/// The daemon's `design` request for these flags, with the sampler
+/// seeded 0 (the protocol's default is 42).
+fn design_request(opts: &Flags) -> Result<DesignRequest, String> {
+    let path = flag(opts, "catalog")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let catalog = serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let path = flag(opts, "log")?;
+    let log = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let mut req = DesignRequest::new("cli", catalog, log);
+    req.seed = 0;
+    req.window_days = window_days(opts)?;
+    req.budget = budget_spec(opts)?;
+    req.faults = fault_spec(opts)?.map(|(spec, _)| spec);
+    req.replicas = numeric(opts, "replicas")?.unwrap_or(1);
+    req.max_failures = numeric(opts, "max-failures")?.unwrap_or(0);
+    if !opts.contains_key("nominal") {
+        if let Some(s) = opts
+            .get("gamma")
+            .filter(|s| !matches!(s.as_str(), "auto" | ""))
+        {
+            req.gamma = GammaSpec::Fixed(s.parse().map_err(|_| format!("bad --gamma `{s}`"))?);
+        }
+        req.max_retries = numeric(opts, "max-retries")?;
+        req.designer_deadline_ms = numeric(opts, "designer-deadline-ms")?;
+        req.deadline_ms = numeric(opts, "session-deadline-ms")?;
+    }
+    Ok(req)
+}
+
+/// Designs through [`run_design`], the daemon's design path, on this
+/// process's clock; `--nominal` swaps the robust session for one nominal
+/// design and keeps the fleet step.
 fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
-    let catalog = load_catalog(opts)?;
-    let log = load_log(opts, &catalog)?;
-    let windows = log.windows_days(window_days(opts));
-    let (w0, history) = windows.split_last().ok_or("log has no windows")?;
-    if w0.is_empty() {
-        return Err("the last window is empty".into());
-    }
-    let engine = ColumnarEngine::new(catalog);
-    let budget = budget(opts, &engine)?;
-    let metric = DeltaEuclidean::new(engine.catalog().column_count());
-    let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-
-    // Resolved once: the same plan drives the design session and, with
-    // --replicas, the failure-aware fleet step afterwards.
-    let plan = match opts.get("faults") {
-        Some(spec) => Some(FaultPlan::from_spec(spec).map_err(|e| format!("--faults: {e}"))?),
-        None => FaultPlan::from_env().map_err(|e| format!("{FAULTS_ENV}: {e}"))?,
-    };
-    let replicas: usize = match opts.get("replicas") {
-        None => 1,
-        Some(s) => s.parse().map_err(|_| format!("bad --replicas `{s}`"))?,
-    };
-    if !(1..=MAX_REPLICAS).contains(&replicas) {
-        return Err(format!("--replicas must be in 1..={MAX_REPLICAS}"));
-    }
-    let max_failures: usize = match opts.get("max-failures") {
-        None => 0,
-        Some(s) => s.parse().map_err(|_| format!("bad --max-failures `{s}`"))?,
-    };
-
-    let design = if opts.contains_key("nominal") {
+    let req = design_request(opts)?;
+    let (inputs, design, fleet) = if opts.contains_key("nominal") {
+        let inputs = DesignInputs::new(&req)?;
+        print_import(&inputs.import);
         eprintln!("designing nominally for the last window");
-        nominal.design(w0, budget)
+        let design = inputs.nominal().design(inputs.w0(), inputs.budget_bytes);
+        let fleet = inputs.fleet(&design)?;
+        (inputs, design, fleet)
     } else {
-        let deltas = consecutive_deltas(&metric, &windows);
-        let gamma = match opts.get("gamma").map(|s| s.as_str()) {
-            None | Some("auto") | Some("") => GammaPolicy::KMaxPastDeltas(1.5).resolve(&deltas),
-            Some(s) => s.parse().map_err(|_| format!("bad --gamma `{s}`"))?,
-        };
-        let mut pool: Vec<Arc<Query>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for w in history.iter().rev().take(4) {
-            for q in w.queries() {
-                if seen.insert(q.signature()) {
-                    pool.push(Arc::clone(q));
-                }
-            }
-        }
-        eprintln!(
-            "designing robustly: gamma = {gamma:.5}, pool of {} historical queries",
-            pool.len()
-        );
-        let mut retry = RetryPolicy::default();
-        if let Some(n) = opts.get("max-retries") {
-            retry.max_retries = n.parse().map_err(|_| format!("bad --max-retries `{n}`"))?;
-        }
-        if let Some(ms) = opts.get("designer-deadline-ms") {
-            let ms = ms
-                .parse()
-                .map_err(|_| format!("bad --designer-deadline-ms `{ms}`"))?;
-            retry = retry.with_designer_deadline_ms(ms);
-        }
-        if let Some(ms) = opts.get("session-deadline-ms") {
-            let ms = ms
-                .parse()
-                .map_err(|_| format!("bad --session-deadline-ms `{ms}`"))?;
-            retry = retry.with_session_deadline_ms(ms);
-        }
-        let plan = plan.clone();
-        let clock = clock.clone();
-        let options = SessionOptions {
-            retry,
+        let runner = RunnerOptions {
             clock: clock.clone(),
-            ..SessionOptions::default()
+            ..RunnerOptions::default()
         };
-        let config = CliffGuardConfig::new(gamma);
-        let (design, trace) = match plan {
-            Some(plan) if !plan.is_none() => {
-                eprintln!("fault injection active: {plan:?}");
-                let injector: FaultyDesigner<ColumnarEngine, _> =
-                    FaultyDesigner::new(&nominal, plan, clock);
-                let session = DesignSession::new(&engine, injector, metric, config, options)
-                    .map_err(|e| format!("bad configuration: {e}"))?;
-                session.run(w0, budget, &pool).into_design()
-            }
-            _ => {
-                let session =
-                    DesignSession::new(&engine, Reliable(&nominal), metric, config, options)
-                        .map_err(|e| format!("bad configuration: {e}"))?;
-                session.run(w0, budget, &pool).into_design()
-            }
+        let run = match run_design(&req, &runner, None, &mut |_| {}) {
+            RunOutcome::Done(run) => *run,
+            RunOutcome::Rejected(reason) => return Err(reason),
+            RunOutcome::Interrupted(_) => return Err("the design session was interrupted".into()),
         };
+        print_import(&run.inputs.import);
+        eprintln!(
+            "designing robustly: gamma = {:.5}, pool of {} historical queries",
+            run.gamma, run.pool_size
+        );
+        if let Some(plan) = run.inputs.faults.as_ref().filter(|p| !p.is_none()) {
+            eprintln!("fault injection active: {plan:?}");
+        }
+        let trace = &run.trace;
         eprintln!(
             "cliffguard: {} designer calls, {} samples, {} retries, {} faults, worst-case trace {:?}",
             trace.designer_calls,
@@ -429,7 +434,7 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
         if let Some(reason) = &trace.degraded {
             eprintln!("warning: session degraded — {reason}");
         }
-        design
+        (run.inputs, run.design, run.fleet)
     };
 
     if cliffguard::telemetry::metrics_enabled() {
@@ -450,25 +455,15 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
         }
     }
 
+    let catalog = inputs.engine.catalog();
     eprintln!(
         "design: {} projections, {:.1} MB of {:.1} MB budget",
         design.len(),
-        design.price_bytes(engine.catalog()) as f64 / (1 << 20) as f64,
-        budget as f64 / (1 << 20) as f64
+        design.price_bytes(catalog) as f64 / (1 << 20) as f64,
+        inputs.budget_bytes as f64 / (1 << 20) as f64
     );
 
-    if replicas > 1 {
-        // Failure-aware fleet step: diverge R per-node designs from the
-        // robust base, minimax over drift windows x crash masks, with the
-        // resolved fault plan injecting replica-crash/-slow mid-run.
-        let ropts = ReplicaOptions {
-            replicas,
-            max_failures,
-            faults: plan,
-            ..ReplicaOptions::default()
-        };
-        let outcome = design_replicated(&engine, &nominal, &design, &windows, budget, &ropts)
-            .map_err(|e| format!("replicated design: {e}"))?;
+    if let Some(outcome) = fleet {
         let audit = &outcome.audit;
         eprintln!(
             "fleet: R={} k={} {} worst-case {:.1} ms (uniform {:.1} ms), \
@@ -497,13 +492,13 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
             print!(
                 "-- replica {i}: {} projections\n{}",
                 replica.len(),
-                ddl::columnar_script(replica, engine.catalog())
+                ddl::columnar_script(replica, catalog)
             );
         }
         return Ok(());
     }
 
-    print!("{}", ddl::columnar_script(&design, engine.catalog()));
+    print!("{}", ddl::columnar_script(&design, catalog));
     Ok(())
 }
 
@@ -574,11 +569,8 @@ fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
     let run_designs = !opts.contains_key("no-design");
 
     let engine = ColumnarEngine::new(catalog);
-    let budget = budget(opts, &engine)?;
-    let plan = match opts.get("faults") {
-        Some(spec) => Some(FaultPlan::from_spec(spec).map_err(|e| format!("--faults: {e}"))?),
-        None => FaultPlan::from_env().map_err(|e| format!("{FAULTS_ENV}: {e}"))?,
-    };
+    let budget = budget_spec(opts)?.bytes(engine.catalog());
+    let plan = fault_spec(opts)?.map(|(_, plan)| plan);
 
     let path = flag(opts, "log")?;
     let mut reader: Box<dyn std::io::Read> = if path == "-" {
@@ -720,20 +712,11 @@ fn flush_window_audits(
             ..SessionOptions::default()
         };
         let config = CliffGuardConfig::new(audit.gamma.max(0.0));
-        let (design, trace) = match plan {
-            Some(plan) if !plan.is_none() => {
-                let injector: FaultyDesigner<ColumnarEngine, _> =
-                    FaultyDesigner::new(&nominal, plan.clone(), clock.clone());
-                DesignSession::new(engine, injector, metric, config, options)
-                    .map_err(|e| format!("bad configuration: {e}"))?
-                    .run(&w0, budget, &pool)
-                    .into_design()
-            }
-            _ => DesignSession::new(engine, Reliable(&nominal), metric, config, options)
-                .map_err(|e| format!("bad configuration: {e}"))?
-                .run(&w0, budget, &pool)
-                .into_design(),
-        };
+        let designer = session_designer(&nominal, plan.as_ref(), clock);
+        let (design, trace) = DesignSession::new(engine, designer, metric, config, options)
+            .map_err(|e| format!("bad configuration: {e}"))?
+            .run(&w0, budget, &pool)
+            .into_design();
         writeln!(
             out,
             "T{} projections={} bytes={} designer_calls={} retries={} faults={} degraded={}",
@@ -756,16 +739,6 @@ fn flush_window_audits(
 /// stdin/stdout, or over TCP with `--listen`.
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
     use cliffguard::serve::{Daemon, ServeConfig};
-
-    fn numeric<T: std::str::FromStr>(opts: &Flags, name: &str) -> Result<Option<T>, String> {
-        match opts.get(name) {
-            None => Ok(None),
-            Some(s) => s
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad --{name} `{s}`")),
-        }
-    }
 
     let mut config = ServeConfig {
         virtual_time: opts.contains_key("virtual-clock"),
@@ -939,12 +912,12 @@ fn cmd_trace(args: &[String], opts: &Flags) -> Result<(), String> {
 fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
     let catalog = load_catalog(opts)?;
     let log = load_log(opts, &catalog)?;
-    let windows = log.windows_days(window_days(opts));
+    let windows = log.windows_days(window_days(opts)?);
     if windows.len() < 2 {
         return Err("need at least two windows to evaluate".into());
     }
     let engine = ColumnarEngine::new(catalog);
-    let budget = budget(opts, &engine)?;
+    let budget = budget_spec(opts)?.bytes(engine.catalog());
     let metric = DeltaEuclidean::new(engine.catalog().column_count());
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
     let eval_opts = EvalOptions {

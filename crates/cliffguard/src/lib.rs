@@ -92,8 +92,8 @@ pub mod prelude {
         DEFAULT_INTERN_CAPACITY,
     };
     pub use cliffguard_designer::{
-        BenefitMatrix, CandidateGen, ColumnarCandidates, CompressingDesigner, DesignerFault,
-        FallibleDesigner, GreedyDesigner, IlpSelector, NominalDesigner, Reliable, RowCandidates,
+        BenefitMatrix, CandidateGen, ColumnarCandidates, DesignerFault, FallibleDesigner,
+        GreedyDesigner, IlpSelector, NominalDesigner, Reliable, RowCandidates,
     };
     pub use cliffguard_distance::{
         AnchoredDistance, ClauseMask, DeltaEuclidean, DeltaLatency, DeltaSeparate,
@@ -101,8 +101,8 @@ pub mod prelude {
     };
     pub use cliffguard_parallel::{current_threads, set_threads};
     pub use cliffguard_resilience::{
-        DegradedReason, FaultCounts, FaultKind, FaultPlan, FaultSpecError, FaultyDesigner,
-        FaultyEngine, RetryPolicy, SessionClock, SessionStats, FAULTS_ENV,
+        session_designer, DegradedReason, FaultCounts, FaultKind, FaultPlan, FaultSpecError,
+        FaultyDesigner, RetryPolicy, SessionClock, FAULTS_ENV,
     };
     pub use cliffguard_robust::{descent_direction, testfns, BntOptimizer, CostFn};
     pub use cliffguard_sim::{
@@ -118,7 +118,7 @@ pub mod prelude {
         DriftingGenerator, GeneratorConfig, SchemaShape, WorkloadProfile,
     };
     pub use cliffguard_workload::{
-        parser::parse_query, ColumnId, ColumnSet, InternedWorkload, LogStream, LogTape,
+        parser::parse_query, query_pool, ColumnId, ColumnSet, InternedWorkload, LogStream, LogTape,
         LogTapeConfig, PredOp, Query, QueryBuilder, QueryId, QueryLog, StreamStats, TableId,
         Workload, WorkloadInterner,
     };

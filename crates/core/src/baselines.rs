@@ -2,12 +2,11 @@
 //! CliffGuard strategy itself, behind one [`DesignStrategy`] interface the
 //! evaluation harness drives window by window.
 
+use crate::cliffguard::CliffGuard;
 use crate::config::CliffGuardConfig;
 use crate::gamma::GammaPolicy;
-use crate::session::{DesignSession, SessionOptions};
-use cliffguard_designer::{BenefitMatrix, CandidateGen, IlpSelector, NominalDesigner, Reliable};
+use cliffguard_designer::{BenefitMatrix, CandidateGen, IlpSelector, NominalDesigner};
 use cliffguard_distance::{NeighborhoodSampler, WorkloadDistance};
-use cliffguard_resilience::{FaultPlan, FaultyDesigner, SessionStats};
 use cliffguard_sim::{Engine, PhysicalDesign, PlanningEngine};
 use cliffguard_workload::{Query, Workload};
 use std::collections::HashMap;
@@ -40,12 +39,6 @@ pub trait DesignStrategy<E: Engine> {
 
     /// Designs for the next window given the context.
     fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design;
-
-    /// Resilience audit counters accumulated over the windows designed so
-    /// far. `None` for strategies that don't run design sessions.
-    fn session_stats(&self) -> Option<SessionStats> {
-        None
-    }
 }
 
 // ------------------------------------------------------------ NoDesign --
@@ -323,13 +316,9 @@ where
 /// The CliffGuard strategy: Algorithm 2 with a Γ policy resolved per
 /// window from the observed drift history.
 ///
-/// Each window runs as a [`DesignSession`] — by default in legacy mode
-/// (designer trusted, no retries), so the strategy is bit-identical to
-/// driving [`CliffGuard`](crate::CliffGuard) directly. With
-/// [`with_options`](Self::with_options) /
-/// [`with_fault_plan`](Self::with_fault_plan) the same strategy runs the
-/// evaluation under injected faults and deadlines, accumulating a
-/// [`SessionStats`] audit across windows.
+/// Each window runs [`CliffGuard::design`], a
+/// [`DesignSession`](crate::DesignSession) in legacy mode (designer
+/// trusted, no retries).
 pub struct CliffGuardStrategy<'d, D, M> {
     designer: &'d D,
     metric: M,
@@ -337,14 +326,6 @@ pub struct CliffGuardStrategy<'d, D, M> {
     pub config: CliffGuardConfig,
     /// Γ policy.
     pub gamma: GammaPolicy,
-    /// Session runtime options (legacy by default).
-    pub options: SessionOptions,
-    /// Fault plan injected into the designer, if any. Call numbering is
-    /// continuous across windows (each window's injector fast-forwards
-    /// past the attempts already made), so a plan reads as one schedule
-    /// over the whole evaluation.
-    pub fault_plan: Option<FaultPlan>,
-    stats: SessionStats,
 }
 
 impl<'d, D, M> CliffGuardStrategy<'d, D, M> {
@@ -355,22 +336,7 @@ impl<'d, D, M> CliffGuardStrategy<'d, D, M> {
             metric,
             config: CliffGuardConfig::new(0.0).with_seed(seed),
             gamma,
-            options: SessionOptions::legacy(),
-            fault_plan: None,
-            stats: SessionStats::default(),
         }
-    }
-
-    /// Replaces the session runtime options.
-    pub fn with_options(mut self, options: SessionOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Injects a fault plan into every window's designer calls.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
     }
 }
 
@@ -388,40 +354,10 @@ where
         let mut cfg = self.config.clone();
         cfg.gamma = self.gamma.resolve(ctx.past_deltas);
         cfg.seed ^= ctx.window_index as u64;
-        let end = if let Some(plan) = &self.fault_plan {
-            let injector: FaultyDesigner<E, _> =
-                FaultyDesigner::new(self.designer, plan.clone(), self.options.clock.clone());
-            injector.fast_forward((self.stats.designer_calls + self.stats.retries) as u64);
-            let Ok(session) =
-                DesignSession::new(ctx.engine, injector, self.metric, cfg, self.options.clone())
-            else {
-                return self.designer.design(ctx.current, ctx.budget);
-            };
-            session.run(ctx.current, ctx.budget, ctx.pool)
-        } else {
-            let Ok(session) = DesignSession::new(
-                ctx.engine,
-                Reliable(self.designer),
-                self.metric,
-                cfg,
-                self.options.clone(),
-            ) else {
-                return self.designer.design(ctx.current, ctx.budget);
-            };
-            session.run(ctx.current, ctx.budget, ctx.pool)
-        };
-        let (design, trace) = end.into_design();
-        self.stats.record(
-            trace.designer_calls,
-            trace.retries,
-            trace.faults,
-            trace.degraded.as_deref(),
-        );
-        design
-    }
-
-    fn session_stats(&self) -> Option<SessionStats> {
-        Some(self.stats.clone())
+        match CliffGuard::try_new(ctx.engine, self.designer, self.metric, cfg) {
+            Ok(cg) => cg.design(ctx.current, ctx.budget, ctx.pool).0,
+            Err(_) => self.designer.design(ctx.current, ctx.budget),
+        }
     }
 }
 

@@ -9,6 +9,8 @@
 pub enum ConfigError {
     /// `gamma` was negative.
     NegativeGamma(f64),
+    /// `gamma` was NaN or infinite.
+    NonFiniteGamma(f64),
     /// `lambda_success` was not > 1.
     BadLambdaSuccess(f64),
     /// `lambda_failure` was not in (0, 1).
@@ -27,6 +29,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NegativeGamma(g) => {
                 write!(f, "gamma must be non-negative, got {g}")
             }
+            ConfigError::NonFiniteGamma(g) => write!(f, "gamma must be finite, got {g}"),
             ConfigError::BadLambdaSuccess(l) => {
                 write!(f, "lambda_success must exceed 1, got {l}")
             }
@@ -97,6 +100,9 @@ impl CliffGuardConfig {
 
     /// Validates invariants, reporting the first violated one.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if !self.gamma.is_finite() {
+            return Err(ConfigError::NonFiniteGamma(self.gamma));
+        }
         if self.gamma < 0.0 {
             return Err(ConfigError::NegativeGamma(self.gamma));
         }
@@ -155,6 +161,14 @@ mod tests {
             CliffGuardConfig::new(-0.1).validate(),
             Err(ConfigError::NegativeGamma(-0.1))
         );
+    }
+
+    #[test]
+    fn non_finite_gamma_rejected() {
+        for g in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = CliffGuardConfig::new(g).validate().unwrap_err();
+            assert!(matches!(e, ConfigError::NonFiniteGamma(_)), "{g}: {e:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::baselines::{DesignStrategy, WindowCtx};
 use crate::engines::EngineExt;
 use cliffguard_distance::WorkloadDistance;
 use cliffguard_sim::PhysicalDesign;
-use cliffguard_workload::{Query, QuerySignature, Workload};
+use cliffguard_workload::{query_pool, Query, QuerySignature, Workload};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,9 +60,6 @@ pub struct EvalSummary {
     pub mean_deployment_ms: f64,
     /// Per-window records.
     pub windows: Vec<WindowRecord>,
-    /// Resilience audit (designer calls, retries, faults, degradations)
-    /// for strategies that run design sessions; `None` otherwise.
-    pub session: Option<cliffguard_resilience::SessionStats>,
 }
 
 /// Memoizing filter for the "≥ factor improvable by an ideal design" rule.
@@ -136,15 +133,7 @@ where
     const POOL_WINDOWS: usize = 4;
 
     for i in 0..windows.len().saturating_sub(1) {
-        let mut pool: Vec<Arc<Query>> = Vec::new();
-        let mut pool_seen = std::collections::HashSet::new();
-        for w in windows[i.saturating_sub(POOL_WINDOWS - 1)..=i].iter() {
-            for q in w.queries() {
-                if pool_seen.insert(q.signature()) {
-                    pool.push(Arc::clone(q));
-                }
-            }
-        }
+        let pool = query_pool(&windows[i.saturating_sub(POOL_WINDOWS - 1)..=i]);
         if i > 0 {
             deltas.push(metric.distance(&windows[i - 1], &windows[i]));
         }
@@ -188,7 +177,6 @@ where
         mean_design_wall_ms: records.iter().map(|r| r.design_wall_ms).sum::<f64>() / n,
         mean_deployment_ms: records.iter().map(|r| r.deployment_ms).sum::<f64>() / n,
         windows: records,
-        session: strategy.session_stats(),
     }
 }
 

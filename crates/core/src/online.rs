@@ -51,7 +51,7 @@ use crate::gamma::GammaPolicy;
 use cliffguard_distance::{window_delta, ClauseMask, WindowVector};
 use cliffguard_resilience::SessionClock;
 use cliffguard_telemetry::{self as telemetry, Level};
-use cliffguard_workload::{LogStream, Query, QuerySignature, Workload};
+use cliffguard_workload::{query_pool, LogStream, Query, QuerySignature, Workload};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -609,16 +609,7 @@ impl OnlineAdvisor {
     /// windows (newest first), deduplicated by structural signature — the
     /// same pool policy as the offline CLI.
     pub fn design_pool(&self) -> Vec<Arc<Query>> {
-        let mut pool = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for w in self.history.iter().rev() {
-            for q in w.queries() {
-                if seen.insert(q.signature()) {
-                    pool.push(Arc::clone(q));
-                }
-            }
-        }
-        pool
+        query_pool(self.history.iter().rev())
     }
 
     /// Windows closed so far.

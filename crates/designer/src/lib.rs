@@ -25,13 +25,11 @@
 #![warn(missing_docs)]
 
 mod candidates;
-mod compress;
 mod greedy;
 mod ilp;
 mod traits;
 
 pub use candidates::{ColumnarCandidates, RowCandidates};
-pub use compress::CompressingDesigner;
 pub use greedy::{BenefitMatrix, GreedyDesigner};
 pub use ilp::IlpSelector;
 pub use traits::{CandidateGen, DesignerFault, FallibleDesigner, NominalDesigner, Reliable};

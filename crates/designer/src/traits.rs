@@ -102,6 +102,18 @@ pub trait FallibleDesigner<E: Engine> {
     fn note_prior_attempts(&self, _attempts: u64) {}
 }
 
+impl<E: Engine, F: FallibleDesigner<E> + ?Sized> FallibleDesigner<E> for Box<F> {
+    fn try_design(&self, w: &Workload, budget_bytes: u64) -> Result<E::Design, DesignerFault> {
+        (**self).try_design(w, budget_bytes)
+    }
+    fn name(&self) -> String {
+        (**self).name()
+    }
+    fn note_prior_attempts(&self, attempts: u64) {
+        (**self).note_prior_attempts(attempts)
+    }
+}
+
 /// Adapter giving an infallible [`NominalDesigner`] the fallible
 /// interface: every call succeeds.
 ///

@@ -65,45 +65,6 @@ impl std::fmt::Display for DegradedReason {
     }
 }
 
-/// Audit counters aggregated over one or more design sessions.
-///
-/// The evaluation harness and the bench suite record these alongside the
-/// latency results so every run documents how hard the designer was to
-/// work with.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SessionStats {
-    /// Sessions aggregated into these counters.
-    pub sessions: usize,
-    /// Logical designer invocations (1 nominal + 1 per iteration).
-    pub designer_calls: usize,
-    /// Extra attempts spent on retries.
-    pub retries: usize,
-    /// Fault events observed (injected faults and gate rejections).
-    pub faults: usize,
-    /// Rendered degradation reasons, one per degraded session.
-    pub degraded: Vec<String>,
-}
-
-impl SessionStats {
-    /// Folds one session's counters in. `degraded` is the rendered
-    /// [`DegradedReason`], if the session degraded.
-    pub fn record(
-        &mut self,
-        designer_calls: usize,
-        retries: usize,
-        faults: usize,
-        degraded: Option<&str>,
-    ) {
-        self.sessions += 1;
-        self.designer_calls += designer_calls;
-        self.retries += retries;
-        self.faults += faults;
-        if let Some(d) = degraded {
-            self.degraded.push(d.to_string());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,22 +84,5 @@ mod tests {
             deadline_ms: 800,
         };
         assert!(d.to_string().contains("900ms"));
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut s = SessionStats::default();
-        s.record(5, 2, 3, None);
-        let reason = DegradedReason::NominalDesignFailed {
-            attempts: 5,
-            last_fault: "x".into(),
-        }
-        .to_string();
-        s.record(1, 4, 4, Some(&reason));
-        assert_eq!(s.sessions, 2);
-        assert_eq!(s.designer_calls, 6);
-        assert_eq!(s.retries, 6);
-        assert_eq!(s.faults, 7);
-        assert_eq!(s.degraded.len(), 1);
     }
 }

@@ -1,12 +1,10 @@
-//! Fault-injecting wrappers for designers and engines.
+//! The fault-injecting designer wrapper.
 
 use crate::clock::SessionClock;
 use crate::fault::{FaultKind, FaultPlan};
-use cliffguard_designer::{DesignerFault, FallibleDesigner, NominalDesigner};
-use cliffguard_sim::{Engine, WorkloadCost};
-use cliffguard_storage::Catalog;
-use cliffguard_workload::{Query, Workload};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cliffguard_designer::{DesignerFault, FallibleDesigner, NominalDesigner, Reliable};
+use cliffguard_sim::Engine;
+use cliffguard_workload::Workload;
 use std::sync::Mutex;
 
 /// Injected-fault counters, by kind.
@@ -195,91 +193,25 @@ where
     }
 }
 
-/// An [`Engine`] wrapper that injects *latency* according to a
-/// [`FaultPlan`].
-///
-/// Engine costing calls are infallible by contract, so every fault kind
-/// manifests as the one observable misbehavior a cost model has: a
-/// stall on the session clock (explicit `stall@N:MS` entries use their
-/// own duration; all other kinds use the plan's `stall-ms`). Which
-/// *query* draws a faulted call index varies with thread scheduling, but
-/// the set of faulted indices — and therefore the total injected
-/// latency and every returned cost — is deterministic.
-pub struct FaultyEngine<'e, E> {
-    inner: &'e E,
-    plan: FaultPlan,
-    clock: SessionClock,
-    calls: AtomicU64,
-    injected: AtomicU64,
-}
-
-impl<'e, E: Engine> FaultyEngine<'e, E> {
-    /// Wraps `inner` with a fault plan on a session clock.
-    pub fn new(inner: &'e E, plan: FaultPlan, clock: SessionClock) -> Self {
-        Self {
-            inner,
-            plan,
-            clock,
-            calls: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
+/// The designer a session runs: `inner` under `plan` when the plan
+/// injects anything, else `inner` as it is. The two report different
+/// names (`Faulty(…)` under a plan), so a trace shows which one ran.
+pub fn session_designer<'a, E, D>(
+    inner: D,
+    plan: Option<&FaultPlan>,
+    clock: &SessionClock,
+) -> Box<dyn FallibleDesigner<E> + 'a>
+where
+    E: Engine + 'a,
+    D: NominalDesigner<E> + 'a,
+{
+    match plan {
+        Some(plan) if !plan.is_none() => {
+            let faulty: FaultyDesigner<E, D> =
+                FaultyDesigner::new(inner, plan.clone(), clock.clone());
+            Box::new(faulty)
         }
-    }
-
-    /// Costing calls made so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Stalls injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-}
-
-impl<E: Engine> Engine for FaultyEngine<'_, E> {
-    type Design = E::Design;
-
-    fn query_latency_ms(&self, q: &Query, d: &Self::Design) -> f64 {
-        let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(kind) = self.plan.fault_for_call(call) {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            let ms = match kind {
-                FaultKind::Stall(ms) => ms,
-                _ => self.plan.stall_ms(),
-            };
-            self.clock.advance_ms(ms);
-        }
-        self.inner.query_latency_ms(q, d)
-    }
-
-    fn catalog(&self) -> &Catalog {
-        self.inner.catalog()
-    }
-
-    fn workload_cost(&self, w: &Workload, d: &Self::Design) -> WorkloadCost {
-        // Default implementation (per-query loop) is what we want — do not
-        // forward to the inner engine, or faults would be skipped.
-        if w.is_empty() {
-            return WorkloadCost::zero();
-        }
-        let mut total = 0.0;
-        let mut max: f64 = 0.0;
-        let mut weight = 0.0;
-        for (q, wt) in w.iter() {
-            let l = self.query_latency_ms(q, d);
-            total += l * wt;
-            weight += wt;
-            max = max.max(l);
-        }
-        WorkloadCost {
-            avg_ms: total / weight,
-            max_ms: max,
-            total_ms: total,
-        }
-    }
-
-    fn deployment_ms(&self, d: &Self::Design) -> f64 {
-        self.inner.deployment_ms(d)
+        _ => Box::new(Reliable(inner)),
     }
 }
 
@@ -287,9 +219,8 @@ impl<E: Engine> Engine for FaultyEngine<'_, E> {
 mod tests {
     use super::*;
     use cliffguard_sim::PhysicalDesign;
-    use cliffguard_storage::{CatalogGenerator, CostConstants};
-    use cliffguard_workload::generator::SchemaShape;
-    use cliffguard_workload::{QueryBuilder, TableId};
+    use cliffguard_storage::{Catalog, CostConstants};
+    use cliffguard_workload::{Query, QueryBuilder, TableId};
 
     /// Minimal engine/designer pair: 1 ms per selected column, designs
     /// are sets of column ids each pricing 100 bytes.
@@ -344,12 +275,6 @@ mod tests {
         }
         fn name(&self) -> String {
             "Toy".into()
-        }
-    }
-
-    fn toy_engine() -> ToyEngine {
-        ToyEngine {
-            catalog: CatalogGenerator::default().generate(&SchemaShape::new(vec![8])),
         }
     }
 
@@ -423,28 +348,5 @@ mod tests {
         fd.fast_forward(2);
         // The next call is call 3 → fails.
         assert!(fd.try_design(&workload(), 300).is_err());
-    }
-
-    #[test]
-    fn faulty_engine_stalls_but_costs_identically() {
-        let engine = toy_engine();
-        let clock = SessionClock::virtual_clock();
-        let plan = FaultPlan::none()
-            .at(2, FaultKind::Stall(30))
-            .at(3, FaultKind::Fail);
-        let fe = FaultyEngine::new(&engine, plan, clock.clone());
-        let w = workload();
-        let d = ToyDesign::default();
-        let plain = engine.workload_cost(&w, &d);
-        // 3 single-query costings: calls 1..3, faults at 2 (30ms) and 3
-        // (fail → stall-ms default 50).
-        for _ in 0..3 {
-            assert_eq!(fe.workload_cost(&w, &d), plain);
-        }
-        assert_eq!(fe.calls(), 3);
-        assert_eq!(fe.injected(), 2);
-        assert_eq!(clock.now_ms(), 80);
-        assert_eq!(fe.deployment_ms(&d), engine.deployment_ms(&d));
-        assert_eq!(fe.catalog().table_count(), engine.catalog().table_count());
     }
 }

@@ -18,13 +18,13 @@
 //!   variable. The decision "does call N fault, and how?" is a pure
 //!   function of `(plan, N)`, so injected faults are identical across
 //!   runs, thread counts, and checkpoint resumes.
-//! * [`FaultyDesigner`] / [`FaultyEngine`] — wrappers applying a plan to
-//!   any nominal designer or engine.
+//! * [`FaultyDesigner`] — a wrapper applying a plan to any nominal
+//!   designer; [`session_designer`] picks it or the plain designer for a
+//!   session.
 //! * [`RetryPolicy`] — capped exponential backoff plus per-call and
 //!   per-session deadlines.
-//! * [`DegradedReason`] / [`SessionStats`] — how a session reports that
-//!   it finished on a fallback path, and the audit counters benches and
-//!   the evaluation harness record.
+//! * [`DegradedReason`] — how a session reports that it finished on a
+//!   fallback path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,9 +36,9 @@ mod faulty;
 mod retry;
 
 pub use clock::SessionClock;
-pub use degrade::{DegradedReason, SessionStats};
+pub use degrade::DegradedReason;
 pub use fault::{FaultKind, FaultPlan, FaultSpecError};
-pub use faulty::{FaultCounts, FaultyDesigner, FaultyEngine};
+pub use faulty::{session_designer, FaultCounts, FaultyDesigner};
 pub use retry::RetryPolicy;
 
 /// The environment variable holding a [`FaultPlan`] spec.

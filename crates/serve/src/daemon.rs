@@ -120,6 +120,16 @@ struct InFlight {
     recorder: Arc<FlightRecorder>,
 }
 
+/// A fresh clock for one design or ingest session: virtual under
+/// `virtual_time` (deterministic output), system otherwise.
+fn session_clock(virtual_time: bool) -> SessionClock {
+    if virtual_time {
+        SessionClock::virtual_clock()
+    } else {
+        SessionClock::system()
+    }
+}
+
 /// Best-effort panic-payload rendering, matching the worker pool's own
 /// downcast so the frozen flight dump and the wire response carry the
 /// same message.
@@ -245,21 +255,6 @@ impl Daemon {
         Ok(daemon)
     }
 
-    fn runner_options(&self) -> RunnerOptions {
-        RunnerOptions {
-            virtual_time: self.config.virtual_time,
-            tenant_deadline_ms: self.config.tenant_deadline_ms,
-            checkpoint_every: self.config.checkpoint_every,
-            stop: self.config.stop.clone(),
-            abort_after_iterations: self.config.kill_after_iterations,
-            // Envelopes persist their fault spec at admission, so the
-            // runner never needs a daemon-level fallback.
-            default_faults: None,
-            // Set per submission: every session gets its own recorder.
-            recorder: None,
-        }
-    }
-
     /// Prometheus text exposition of the live metrics registry (empty
     /// when telemetry metrics are not installed).
     fn prometheus_body() -> String {
@@ -333,12 +328,22 @@ impl Daemon {
             resumed,
             recorder: recorder.clone(),
         });
-        let mut opts = self.runner_options();
-        opts.recorder = Some(recorder.clone());
+        let mut opts = RunnerOptions {
+            tenant_deadline_ms: self.config.tenant_deadline_ms,
+            checkpoint_every: self.config.checkpoint_every,
+            stop: self.config.stop.clone(),
+            abort_after_iterations: self.config.kill_after_iterations,
+            recorder: Some(recorder.clone()),
+            ..RunnerOptions::default()
+        };
+        let virtual_time = self.config.virtual_time;
         let store = self.store.clone();
         self.pool.submit(
             seq,
             Box::new(move || {
+                // Every session runs on its own clock, started when a
+                // worker picks the session up.
+                opts.clock = session_clock(virtual_time);
                 // The inner catch exists only to freeze the session's
                 // black box with the panic message; the payload is
                 // re-raised so the pool still reports the panic as
@@ -385,10 +390,13 @@ impl Daemon {
                 recorder,
             } = flight;
             let (status, reason, report) = match self.pool.wait(seq) {
-                Ok(RunOutcome::Done(report)) => match report.degraded.clone() {
-                    Some(r) => (DesignStatus::Degraded, Some(r), Some(*report)),
-                    None => (DesignStatus::Done, None, Some(*report)),
-                },
+                Ok(RunOutcome::Done(run)) => {
+                    let report = run.report();
+                    match report.degraded.clone() {
+                        Some(r) => (DesignStatus::Degraded, Some(r), Some(report)),
+                        None => (DesignStatus::Done, None, Some(report)),
+                    }
+                }
                 Ok(RunOutcome::Rejected(reason)) => (DesignStatus::Rejected, Some(reason), None),
                 Ok(RunOutcome::Interrupted(ckpt)) => {
                     // The session checkpointed under a stop/kill: persist
@@ -465,17 +473,6 @@ impl Daemon {
         }
     }
 
-    /// The clock handed to ingest sessions: virtual under
-    /// `virtual_time` (deterministic `ClockTime` windows), system
-    /// otherwise.
-    fn ingest_clock(&self) -> SessionClock {
-        if self.config.virtual_time {
-            SessionClock::virtual_clock()
-        } else {
-            SessionClock::system()
-        }
-    }
-
     /// Handles one `ingest` frame synchronously: find (or lazily reload,
     /// or create) the tenant's streaming session, feed the chunk, persist
     /// the snapshot, answer. A catalog-bearing frame always starts a
@@ -492,7 +489,7 @@ impl Daemon {
             if let Some(store) = &self.store {
                 let _ = store.remove_ingest(&tenant);
             }
-            match IngestSession::create(&req, self.ingest_clock()) {
+            match IngestSession::create(&req, session_clock(self.config.virtual_time)) {
                 Ok(session) => {
                     self.tenants.stats_mut(&tenant).admitted += 1;
                     self.ingests.insert(tenant.clone(), session);
@@ -507,7 +504,9 @@ impl Daemon {
                 .store
                 .as_ref()
                 .and_then(|s| s.load_ingest(&tenant))
-                .map(|json| IngestSession::from_json(&json, self.ingest_clock()));
+                .map(|json| {
+                    IngestSession::from_json(&json, session_clock(self.config.virtual_time))
+                });
             match loaded {
                 Some(Ok(session)) => {
                     self.tenants.stats_mut(&tenant).resumed += 1;
@@ -521,13 +520,15 @@ impl Daemon {
                 }
                 // `create` without a catalog yields the canonical
                 // "first frame must carry a catalog" error.
-                None => match IngestSession::create(&req, self.ingest_clock()) {
-                    Ok(session) => {
-                        self.tenants.stats_mut(&tenant).admitted += 1;
-                        self.ingests.insert(tenant.clone(), session);
+                None => {
+                    match IngestSession::create(&req, session_clock(self.config.virtual_time)) {
+                        Ok(session) => {
+                            self.tenants.stats_mut(&tenant).admitted += 1;
+                            self.ingests.insert(tenant.clone(), session);
+                        }
+                        Err(reason) => return Response::Error { seq, reason },
                     }
-                    Err(reason) => return Response::Error { seq, reason },
-                },
+                }
             }
         }
         let session = self.ingests.get_mut(&tenant).expect("just inserted");

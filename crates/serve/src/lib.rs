@@ -60,7 +60,7 @@ pub use protocol::{
     parse_request, BudgetSpec, DesignReport, DesignRequest, DesignStatus, FlightInfo, GammaSpec,
     IngestRequest, MetricsFormat, ProtocolError, Request, Response,
 };
-pub use runner::{run_design, RunOutcome, RunnerOptions};
+pub use runner::{run_design, DesignInputs, DesignRun, RunOutcome, RunnerOptions};
 pub use scheduler::WorkerPool;
 pub use store::{CheckpointStore, PendingSession};
 pub use tenant::{TenantRegistry, TenantStats};

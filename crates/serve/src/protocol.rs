@@ -35,6 +35,8 @@
 //! accepts `"auto"` or a plain non-negative number, so `{"gamma":2}` and
 //! `{"gamma":2.0}` both mean Γ = 2 — the two keys are mutually exclusive.
 
+use cliffguard_storage::Catalog;
+use cliffguard_workload::{window_secs, SECS_PER_DAY};
 use serde::{map_get, Deserialize, Error as SerdeError, Serialize, Value};
 
 /// Maximum accepted frame length (bytes). A daemon reading a socket must
@@ -77,6 +79,16 @@ pub enum BudgetSpec {
     Auto,
     /// A fixed byte budget.
     Bytes(u64),
+}
+
+impl BudgetSpec {
+    /// The budget in bytes for `catalog`.
+    pub fn bytes(self, catalog: &Catalog) -> u64 {
+        match self {
+            BudgetSpec::Auto => (catalog.data_bytes() as f64 * 0.3) as u64,
+            BudgetSpec::Bytes(b) => b,
+        }
+    }
 }
 
 /// A `design` request: everything one tenant's design session needs,
@@ -336,8 +348,11 @@ fn parse_design(m: &[(String, Value)]) -> Result<DesignRequest, ProtocolError> {
         }
     };
     let window_days = u64_field("window_days", 28)?;
-    if window_days == 0 {
-        return Err(err("design: window_days must be >= 1"));
+    if window_secs(window_days).is_none() {
+        return Err(err(format!(
+            "design: window_days must be in 1..={}",
+            u64::MAX / SECS_PER_DAY
+        )));
     }
     let faults = match map_get(m, "faults") {
         Value::Null => None,
@@ -996,6 +1011,19 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "must reject: {bad}");
         }
+    }
+
+    #[test]
+    fn window_days_whose_seconds_overflow_u64_are_rejected() {
+        // 213503982334602 days × 86400 wraps to 61184 s unchecked.
+        let frame = |days: u64| {
+            format!(
+                r#"{{"op":"design","tenant":"t","catalog":{{}},"log":"x","window_days":{days}}}"#
+            )
+        };
+        let max = u64::MAX / SECS_PER_DAY;
+        assert!(parse_request(&frame(max + 1)).is_err());
+        assert!(parse_request(&frame(max)).is_ok());
     }
 
     #[test]

@@ -89,6 +89,11 @@ impl Catalog {
         self.tables.iter().map(|t| t.columns.len()).sum()
     }
 
+    /// Raw data size in bytes: every table's rows times its row width.
+    pub fn data_bytes(&self) -> u64 {
+        self.tables.iter().map(|t| t.rows * t.row_width()).sum()
+    }
+
     /// Table definition by id.
     pub fn table(&self, t: TableId) -> &TableDef {
         &self.tables[t.index()]

@@ -53,10 +53,10 @@ pub mod tape;
 pub use colset::ColumnSet;
 pub use ids::{ColumnId, TableId};
 pub use interner::{InternedWorkload, QueryId, WorkloadInterner};
-pub use log::{LogEntry, QueryLog, SECS_PER_DAY};
+pub use log::{window_secs, LogEntry, QueryLog, SECS_PER_DAY};
 pub use query::{PredOp, Predicate, Query, QueryBuilder, QuerySignature};
 pub use resolve::{NameResolver, SimpleResolver};
 pub use stream::{LogStream, StreamStats};
 pub use tape::{LogTape, LogTapeConfig};
 pub use template::{Template, TemplateId};
-pub use workload::{WeightedQuery, Workload};
+pub use workload::{query_pool, WeightedQuery, Workload};

@@ -13,6 +13,13 @@ use std::sync::Arc;
 /// Seconds in a day; window sizes in the paper are given in days.
 pub const SECS_PER_DAY: u64 = 86_400;
 
+/// The length in seconds of a window of `days` days, or `None` unless it
+/// is at least one day and fits a `u64`: the one rule every entry point
+/// applies to a window length it is given.
+pub fn window_secs(days: u64) -> Option<u64> {
+    days.checked_mul(SECS_PER_DAY).filter(|&secs| secs > 0)
+}
+
 /// One timestamped query in a trace.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LogEntry {
@@ -95,8 +102,14 @@ impl QueryLog {
     }
 
     /// Windows of `days` days (paper: 7, 14, 21, 28).
+    ///
+    /// # Panics
+    ///
+    /// If [`window_secs`] rejects `days`.
     pub fn windows_days(&self, days: u64) -> Vec<Workload> {
-        self.windows(days * SECS_PER_DAY)
+        self.windows(
+            window_secs(days).expect("window length must be 1 day or more and fit u64 seconds"),
+        )
     }
 
     /// The whole log as one workload.

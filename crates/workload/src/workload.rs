@@ -190,27 +190,22 @@ impl Workload {
         self.entries.retain(|e| e.query.references_columns());
         self.rebuild_index();
     }
+}
 
-    /// Workload compression (the heuristic of the paper's refs [24, 45],
-    /// which commercial designers use to avoid over-fitting): keeps the
-    /// most frequent queries covering at least `mass` (in `(0, 1]`) of the
-    /// total weight, dropping the long tail of one-off queries.
-    pub fn compress_top_mass(&self, mass: f64) -> Workload {
-        assert!(mass > 0.0 && mass <= 1.0, "mass must be in (0, 1]");
-        let total = self.total_weight();
-        let mut order: Vec<&WeightedQuery> = self.entries.iter().collect();
-        order.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-        let mut out = Workload::new();
-        let mut acc = 0.0;
-        for e in order {
-            if acc >= mass * total && !out.is_empty() {
-                break;
+/// The historical pool a session samples neighbors from: the distinct
+/// queries of `windows` in first-seen order, deduplicated by structural
+/// signature. Callers choose the windows and the order to visit them.
+pub fn query_pool<'a>(windows: impl IntoIterator<Item = &'a Workload>) -> Vec<Arc<Query>> {
+    let mut pool = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    for w in windows {
+        for q in w.queries() {
+            if seen.insert(q.signature()) {
+                pool.push(Arc::clone(q));
             }
-            out.add(Arc::clone(&e.query), e.weight);
-            acc += e.weight;
         }
-        out
     }
+    pool
 }
 
 fn assert_positive(weight: f64) {
@@ -326,30 +321,6 @@ mod tests {
     fn zero_weight_rejected() {
         let mut w = Workload::new();
         w.add(Arc::new(q(&[1])), 0.0);
-    }
-
-    #[test]
-    fn compress_top_mass_keeps_heavy_hitters() {
-        let w = Workload::from_queries([
-            (q(&[1]), 70.0),
-            (q(&[2]), 20.0),
-            (q(&[3]), 6.0),
-            (q(&[4]), 4.0),
-        ]);
-        let c = w.compress_top_mass(0.8);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.weight_of(&q(&[1])), 70.0);
-        assert_eq!(c.weight_of(&q(&[2])), 20.0);
-        assert_eq!(c.weight_of(&q(&[3])), 0.0);
-        // mass = 1 keeps everything
-        assert_eq!(w.compress_top_mass(1.0).len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "mass")]
-    fn compress_rejects_zero_mass() {
-        let w = Workload::from_queries([(q(&[1]), 1.0)]);
-        let _ = w.compress_top_mass(0.0);
     }
 
     #[test]

@@ -18,11 +18,7 @@ fn main() {
     let catalog = CatalogGenerator::default().generate(&shape);
     let engine = ColumnarEngine::new(catalog);
     let metric = DeltaEuclidean::new(shape.column_count());
-    let data_bytes: u64 = engine
-        .catalog()
-        .tables()
-        .map(|t| engine.catalog().table(t).rows * engine.catalog().table(t).row_width())
-        .sum();
+    let data_bytes = engine.catalog().data_bytes();
     let opts = EvalOptions {
         budget_bytes: (data_bytes as f64 * 0.3) as u64,
         designable_factor: 3.0,

@@ -36,11 +36,7 @@ fn main() {
 
     // Budget: ~30% of the base data size, echoing Vertica's auto-chosen
     // 50 GB for the paper's 151 GB dataset.
-    let data_bytes: u64 = engine
-        .catalog()
-        .tables()
-        .map(|t| engine.catalog().table(t).rows * engine.catalog().table(t).row_width())
-        .sum();
+    let data_bytes = engine.catalog().data_bytes();
     let budget = (data_bytes as f64 * 0.3) as u64;
     let opts = EvalOptions {
         budget_bytes: budget,

@@ -1,7 +1,7 @@
 //! End-to-end test of the `cliffguard` CLI binary: generate → stats →
 //! design → evaluate over real files in a temp directory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> &'static str {
@@ -14,6 +14,41 @@ fn tmpdir(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Generates a four-window R1 log (seed 7) and its catalog into `dir`,
+/// returning their paths as `(catalog, log)`.
+fn generate(dir: &Path) -> (String, String) {
+    let (catalog, log) = (dir.join("catalog.json"), dir.join("log.tsv"));
+    let (catalog, log) = (catalog.to_str().unwrap(), log.to_str().unwrap());
+    let out = Command::new(bin())
+        .args([
+            "generate",
+            "--profile",
+            "R1",
+            "--seed",
+            "7",
+            "--windows",
+            "4",
+        ])
+        .args(["--scale", "0.2", "--out", log, "--catalog-out", catalog])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (catalog.to_string(), log.to_string())
+}
+
+/// Runs the CLI on `args` and expects a refusal: exit code 1 and a
+/// message containing `why`.
+fn assert_refused(args: &[&str], why: &str) {
+    let out = Command::new(bin()).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains(why), "{args:?}: {stderr}");
 }
 
 #[test]
@@ -315,4 +350,130 @@ fn help_prints_usage() {
     let out = Command::new(bin()).arg("--help").output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("commands:"));
+}
+
+#[test]
+fn cli_design_and_the_daemon_run_one_path() {
+    use cliffguard::serve::{run_design, DesignReport, DesignRequest, RunOutcome, RunnerOptions};
+    // Pinned on both sides: `--faults` outranks CLIFFGUARD_FAULTS, and a
+    // request's own plan is the only one the runner reads.
+    const PLAN: &str = "fail@1,stall@2:40,overbudget@3,empty@4,stale@5";
+    let dir = tmpdir("one-path");
+    let (catalog, log) = generate(&dir);
+    let cli = |extra: &[&str]| {
+        let out = Command::new(bin())
+            .args(["design", "--catalog", &catalog, "--log", &log])
+            .args(["--virtual-clock", "--faults", PLAN])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{stderr}");
+        (String::from_utf8(out.stdout).unwrap(), stderr)
+    };
+    let daemon = |replicas: u64, max_failures: u64| -> DesignReport {
+        let catalog = serde_json::from_str(&std::fs::read_to_string(&catalog).unwrap()).unwrap();
+        let mut req = DesignRequest::new("t", catalog, std::fs::read_to_string(&log).unwrap());
+        req.seed = 0;
+        req.faults = Some(PLAN.into());
+        req.replicas = replicas;
+        req.max_failures = max_failures;
+        match run_design(&req, &RunnerOptions::default(), None, &mut |_| {}) {
+            RunOutcome::Done(run) => run.report(),
+            other => panic!("the daemon's run did not finish: {other:?}"),
+        }
+    };
+
+    let (ddl, _) = cli(&[]);
+    assert!(!ddl.is_empty());
+    assert_eq!(ddl, daemon(1, 0).ddl);
+
+    let (_, stderr) = cli(&["--replicas", "3", "--max-failures", "1"]);
+    let audit = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("fleet audit: "))
+        .unwrap_or_else(|| panic!("no fleet audit line in {stderr}"));
+    assert_eq!(Some(audit), daemon(3, 1).replica_audit.as_deref());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn design_refuses_a_non_finite_gamma() {
+    let dir = tmpdir("gamma");
+    let (catalog, log) = generate(&dir);
+    for gamma in ["nan", "inf"] {
+        assert_refused(
+            &[
+                "design",
+                "--catalog",
+                &catalog,
+                "--log",
+                &log,
+                "--gamma",
+                gamma,
+            ],
+            "gamma must be finite",
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_window_days_is_refused_not_a_panic() {
+    let dir = tmpdir("window-zero");
+    let (catalog, log) = generate(&dir);
+    for cmd in ["stats", "design", "evaluate"] {
+        assert_refused(
+            &[
+                cmd,
+                "--catalog",
+                &catalog,
+                "--log",
+                &log,
+                "--window-days",
+                "0",
+            ],
+            "bad --window-days `0`",
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_numeric_window_days_is_refused() {
+    let dir = tmpdir("window-abc");
+    let (catalog, log) = generate(&dir);
+    assert_refused(
+        &[
+            "design",
+            "--catalog",
+            &catalog,
+            "--log",
+            &log,
+            "--window-days",
+            "abc",
+        ],
+        "bad --window-days `abc`",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn window_days_whose_seconds_overflow_u64_are_refused() {
+    // 213503982334602 days × 86400 wraps to 61184 s unchecked.
+    let dir = tmpdir("window-overflow");
+    let (catalog, log) = generate(&dir);
+    assert_refused(
+        &[
+            "design",
+            "--catalog",
+            &catalog,
+            "--log",
+            &log,
+            "--window-days",
+            "213503982334602",
+        ],
+        "bad --window-days `213503982334602`",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

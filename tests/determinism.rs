@@ -100,11 +100,7 @@ fn every_strategy_is_deterministic_across_runs() {
     let metric = DeltaEuclidean::new(shape.column_count());
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
     let gamma = GammaPolicy::KMaxPastDeltas(1.5);
-    let data_bytes: u64 = engine
-        .catalog()
-        .tables()
-        .map(|t| engine.catalog().table(t).rows * engine.catalog().table(t).row_width())
-        .sum();
+    let data_bytes = engine.catalog().data_bytes();
     let cracked: std::collections::HashSet<Projection> = windows[0]
         .queries()
         .flat_map(|q| engine.ideal_design_for(q).structures())

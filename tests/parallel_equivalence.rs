@@ -10,7 +10,7 @@
 //! and catching exactly that is the point).
 
 use cliffguard::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
@@ -25,19 +25,6 @@ fn fixture() -> (SchemaShape, Vec<Workload>) {
     (shape, windows)
 }
 
-fn pool_of(windows: &[Workload]) -> Vec<Arc<Query>> {
-    let mut pool = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for w in windows {
-        for q in w.queries() {
-            if seen.insert(q.signature()) {
-                pool.push(Arc::clone(q));
-            }
-        }
-    }
-    pool
-}
-
 #[test]
 fn cliffguard_design_is_identical_across_thread_counts() {
     let _guard = THREAD_KNOB.lock().unwrap();
@@ -48,7 +35,7 @@ fn cliffguard_design_is_identical_across_thread_counts() {
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
     let cg = CliffGuard::new(&engine, &nominal, metric, CliffGuardConfig::new(0.01));
     let w0 = &windows[windows.len() - 2];
-    let pool = pool_of(&windows[..windows.len() - 2]);
+    let pool = query_pool(&windows[..windows.len() - 2]);
     let budget = 40u64 << 30;
 
     let mut baseline: Option<(ColumnarDesign, Vec<u64>)> = None;

@@ -64,16 +64,12 @@ fn u64_field(v: &Value, key: &str) -> u64 {
 #[test]
 fn concurrent_tenants_match_one_shot_pipeline_at_1_and_8_workers() {
     // Ground truth: each tenant's request run one-shot, no daemon.
-    let oneshot_opts = RunnerOptions {
-        virtual_time: true,
-        ..RunnerOptions::default()
-    };
     let expected: Vec<u64> = TENANT_SEEDS
         .iter()
         .map(|(tenant, seed)| {
             let req = testdata::design_request(tenant, *seed);
-            match run_design(&req, &oneshot_opts, None, &mut |_| {}) {
-                RunOutcome::Done(report) => report.fingerprint,
+            match run_design(&req, &RunnerOptions::default(), None, &mut |_| {}) {
+                RunOutcome::Done(run) => run.report().fingerprint,
                 other => panic!("one-shot run for {tenant} did not finish: {other:?}"),
             }
         })
@@ -222,18 +218,15 @@ fn per_request_fault_spec_shows_up_in_the_audit() {
     assert_eq!(u64_field(report, "retries"), 2, "{out}");
     // Retries absorb the faults: same design as a clean run.
     let clean = testdata::design_request(tenant, seed);
-    let RunOutcome::Done(clean_report) = run_design(
-        &clean,
-        &RunnerOptions {
-            virtual_time: true,
-            ..RunnerOptions::default()
-        },
-        None,
-        &mut |_| {},
-    ) else {
+    let RunOutcome::Done(clean_run) =
+        run_design(&clean, &RunnerOptions::default(), None, &mut |_| {})
+    else {
         panic!("clean run must finish");
     };
-    assert_eq!(u64_field(report, "fingerprint"), clean_report.fingerprint);
+    assert_eq!(
+        u64_field(report, "fingerprint"),
+        clean_run.report().fingerprint
+    );
 }
 
 #[test]

@@ -68,29 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn compress_preserves_heaviest(
-        ws in proptest::collection::vec((0..40u32, 0.5f64..50.0), 2..10),
-        mass in 0.1f64..1.0
-    ) {
-        let queries: Vec<(Query, f64)> = ws
-            .into_iter()
-            .map(|(c, w)| (QueryBuilder::new(TableId(0)).select(&[c]).build(), w))
-            .collect();
-        let w = Workload::from_queries(queries);
-        let c = w.compress_top_mass(mass);
-        prop_assert!(!c.is_empty());
-        prop_assert!(c.len() <= w.len());
-        prop_assert!(c.total_weight() <= w.total_weight() + 1e-9);
-        // The heaviest query always survives.
-        let heaviest = w
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(q, _)| q.signature())
-            .unwrap();
-        prop_assert!(c.weight_of_sig(heaviest) > 0.0);
-    }
-
-    #[test]
     fn move_workload_superset_invariants(
         w0_ws in proptest::collection::vec((0..20u32, 1.0f64..20.0), 1..5),
         n_ws in proptest::collection::vec((20..40u32, 1.0f64..20.0), 1..5),
