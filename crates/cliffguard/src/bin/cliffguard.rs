@@ -256,13 +256,16 @@ fn window_days(opts: &Flags) -> Result<u64, String> {
         })
 }
 
+/// `--budget`: `auto` or a positive byte count, as in the protocol.
 fn budget_spec(opts: &Flags) -> Result<BudgetSpec, String> {
     match opts.get("budget").map(|s| s.as_str()) {
         None | Some("auto") | Some("") => Ok(BudgetSpec::Auto),
-        Some(s) => s
-            .parse()
-            .map(BudgetSpec::Bytes)
-            .map_err(|_| format!("bad --budget `{s}`")),
+        Some(s) => match s.parse() {
+            Ok(bytes) if bytes > 0 => Ok(BudgetSpec::Bytes(bytes)),
+            _ => Err(format!(
+                "bad --budget `{s}` (budget must be \"auto\" or a positive integer)"
+            )),
+        },
     }
 }
 
@@ -526,8 +529,10 @@ fn advisor_config(opts: &Flags, n_columns: usize) -> Result<OnlineAdvisorConfig,
         None | Some("auto") | Some("") => GammaPolicy::KMaxPastDeltas(1.5),
         Some(s) => {
             let g: f64 = s.parse().map_err(|_| format!("bad --gamma `{s}`"))?;
-            if g.is_nan() || g < 0.0 {
-                return Err(format!("bad --gamma `{s}` (want a non-negative number)"));
+            if !g.is_finite() || g < 0.0 {
+                return Err(format!(
+                    "bad --gamma `{s}` (gamma must be a finite number >= 0)"
+                ));
             }
             GammaPolicy::Fixed(g)
         }

@@ -13,7 +13,8 @@
 //! * [`sim`] — the columnar (projection) and row-store (index + view)
 //!   engine simulators.
 //! * [`designer`] — the nominal designers CliffGuard wraps.
-//! * [`robust`] — the generic continuous-space BNT robust optimizer.
+//! * [`robust`] — the replica crash masks behind failure-aware replicated
+//!   designs.
 //! * [`core`] — CliffGuard itself (Algorithms 2–3), the baselines, and the
 //!   windowed evaluation harness.
 //! * [`parallel`] — the deterministic thread fan-out behind the hot loops
@@ -104,7 +105,6 @@ pub mod prelude {
         session_designer, DegradedReason, FaultCounts, FaultKind, FaultPlan, FaultSpecError,
         FaultyDesigner, RetryPolicy, SessionClock, FAULTS_ENV,
     };
-    pub use cliffguard_robust::{descent_direction, testfns, BntOptimizer, CostFn};
     pub use cliffguard_sim::{
         ColumnarDesign, ColumnarEngine, CostKernel, DesignEpoch, Engine, Index, KernelStats,
         MatView, PhysicalDesign, PlanningEngine, Projection, RowDesign, RowEngine, RowStructure,

@@ -303,7 +303,8 @@ mod tests {
             Ok(s) => s,
             Err(e) => panic!("golden schema must load: {e}"),
         };
-        for name in [
+        // Exactly the event and span names the production code emits.
+        let production = [
             "cliffguard.core.session.start",
             "cliffguard.core.session.finish",
             "cliffguard.core.session.resume",
@@ -311,9 +312,16 @@ mod tests {
             "cliffguard.core.session.retry",
             "cliffguard.core.session.degraded",
             "cliffguard.core.descent.iter",
-            "cliffguard.robust.bnt.iter",
-        ] {
-            assert!(s.names.iter().any(|n| n == name), "schema missing {name}");
-        }
+            "cliffguard.core.ingest.window",
+            "cliffguard.core.ingest.trigger",
+            "cliffguard.serve.start",
+            "cliffguard.serve.recover",
+            "cliffguard.serve.request",
+            "cliffguard.serve.session.end",
+            "cliffguard.serve.ingest.window",
+            "cliffguard.serve.shutdown",
+            "cliffguard.serve.conn.error",
+        ];
+        assert_eq!(s.names, production);
     }
 }

@@ -316,9 +316,9 @@ where
 /// The CliffGuard strategy: Algorithm 2 with a Γ policy resolved per
 /// window from the observed drift history.
 ///
-/// Each window runs [`CliffGuard::design`], a
-/// [`DesignSession`](crate::DesignSession) in legacy mode (designer
-/// trusted, no retries).
+/// Each window runs [`CliffGuard::design`], a default
+/// [`DesignSession`](crate::DesignSession): the validation gate is on and
+/// failed designer calls retry on a virtual clock.
 pub struct CliffGuardStrategy<'d, D, M> {
     designer: &'d D,
     metric: M,

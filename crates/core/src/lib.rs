@@ -21,10 +21,10 @@
 //! * [`online`] — the streaming drift advisor: sliding workload windows
 //!   over a query-log stream, incremental inter-window δ, and the
 //!   Γ-threshold redesign trigger with hysteresis/cooldown.
-//! * [`session`] — the fault-tolerant design-session runtime: the same
-//!   descent run against a *fallible* designer, with retry/backoff,
+//! * [`session`] — the fault-tolerant design-session runtime every
+//!   descent runs in ([`CliffGuard::design`] included): retry/backoff,
 //!   deadlines, output validation, graceful degradation, and
-//!   checkpoint/resume.
+//!   checkpoint/resume against a *fallible* designer.
 //! * [`replica`] — failure-aware divergent replica designs: a two-axis
 //!   minimax (drift scenarios × replica-crash masks) over a fleet of
 //!   per-replica designs with argmin query routing and fault-injected

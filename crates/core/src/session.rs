@@ -1,10 +1,10 @@
 //! The resilient design-session runtime.
 //!
-//! [`CliffGuard::design`](crate::CliffGuard::design) assumes the nominal
-//! designer is a pure function. In deployment it is a slow, flaky black
-//! box (the paper's target, Vertica's DBD, takes *hours* per call). A
-//! [`DesignSession`] runs the same Algorithm 2 descent against a
-//! [`FallibleDesigner`]:
+//! In deployment the nominal designer is a slow, flaky black box (the
+//! paper's target, Vertica's DBD, takes *hours* per call). A
+//! [`DesignSession`] runs the Algorithm 2 descent against a
+//! [`FallibleDesigner`]; [`CliffGuard::design`](crate::CliffGuard::design)
+//! is a session with [`SessionOptions::default`] over a reliable one:
 //!
 //! * every designer invocation goes through a **retry loop** with capped
 //!   exponential backoff and optional per-call / per-session deadlines
@@ -55,9 +55,6 @@ pub struct SessionOptions {
     pub retry: RetryPolicy,
     /// The clock backoffs and deadlines run on.
     pub clock: SessionClock,
-    /// Whether designer output passes the validation gate (budget overrun
-    /// and empty-design checks). Off in [`legacy`](Self::legacy) mode.
-    pub validate: bool,
     /// Abort (as if killed) before running this 0-based iteration,
     /// returning [`SessionEnd::Interrupted`] with the checkpoint an
     /// uninterrupted run would have had at that point. Test hook for
@@ -83,7 +80,6 @@ impl Default for SessionOptions {
         Self {
             retry: RetryPolicy::default(),
             clock: SessionClock::virtual_clock(),
-            validate: true,
             abort_after_iterations: None,
             stop: None,
             checkpoint_every: 1,
@@ -92,20 +88,6 @@ impl Default for SessionOptions {
 }
 
 impl SessionOptions {
-    /// The pre-session behavior: no retries, no deadlines, no validation.
-    /// [`CliffGuard::design`](crate::CliffGuard::design) runs with these,
-    /// which keeps it bit-identical to the historical implementation.
-    pub fn legacy() -> Self {
-        Self {
-            retry: RetryPolicy::none(),
-            clock: SessionClock::virtual_clock(),
-            validate: false,
-            abort_after_iterations: None,
-            stop: None,
-            checkpoint_every: 1,
-        }
-    }
-
     /// Whether the external kill switch has been raised.
     fn stop_requested(&self) -> bool {
         self.stop
@@ -398,21 +380,6 @@ where
         })
     }
 
-    /// The wrapped designer (e.g. to read fault counters after a run).
-    pub fn designer(&self) -> &F {
-        &self.designer
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &CliffGuardConfig {
-        &self.config
-    }
-
-    /// The session clock.
-    pub fn clock(&self) -> &SessionClock {
-        &self.options.clock
-    }
-
     /// Runs a fresh session.
     pub fn run(
         &self,
@@ -691,17 +658,15 @@ where
                     });
                 }
             }
-            if self.options.validate {
-                if let Ok(d) = &result {
-                    let price_bytes = d.price_bytes(self.engine.catalog());
-                    if price_bytes > budget_bytes {
-                        result = Err(DesignerFault::OverBudget {
-                            price_bytes,
-                            budget_bytes,
-                        });
-                    } else if d.is_empty() && !w.is_empty() {
-                        result = Err(DesignerFault::EmptyDesign);
-                    }
+            if let Ok(d) = &result {
+                let price_bytes = d.price_bytes(self.engine.catalog());
+                if price_bytes > budget_bytes {
+                    result = Err(DesignerFault::OverBudget {
+                        price_bytes,
+                        budget_bytes,
+                    });
+                } else if d.is_empty() && !w.is_empty() {
+                    result = Err(DesignerFault::EmptyDesign);
                 }
             }
             let fault = match result {
@@ -1066,25 +1031,25 @@ mod tests {
     const BUDGET: u64 = 10_000_000_000;
 
     #[test]
-    fn legacy_session_matches_cliffguard_design() {
+    fn cliffguard_design_is_a_default_session() {
         let e = ColumnarEngine::new(catalog());
         let nominal = GreedyDesigner::new(&e, ColumnarCandidates, "DBD");
         let metric = DeltaEuclidean::new(12);
         let cfg = CliffGuardConfig::new(0.005);
         let cg = crate::CliffGuard::new(&e, &nominal, metric, cfg.clone());
-        let (d_legacy, t_legacy) = cg.design(&w0(), BUDGET, &pool());
+        let (d_cg, t_cg) = cg.design(&w0(), BUDGET, &pool());
 
         let session = DesignSession::new(
             &e,
             Reliable(&nominal),
             metric,
             cfg,
-            SessionOptions::legacy(),
+            SessionOptions::default(),
         )
         .expect("valid config");
         let (d_session, t_session) = session.run(&w0(), BUDGET, &pool()).into_design();
-        assert_eq!(d_legacy, d_session);
-        assert_eq!(t_legacy, t_session);
+        assert_eq!(d_cg, d_session);
+        assert_eq!(t_cg, t_session);
         assert_eq!(t_session.retries, 0);
         assert_eq!(t_session.faults, 0);
         assert_eq!(t_session.degraded, None);

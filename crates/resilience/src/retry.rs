@@ -36,18 +36,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries, no deadlines — the legacy "assume the designer is
-    /// perfect" behavior.
-    pub fn none() -> Self {
-        Self {
-            max_retries: 0,
-            base_backoff_ms: 0,
-            max_backoff_ms: 0,
-            designer_deadline_ms: None,
-            session_deadline_ms: None,
-        }
-    }
-
     /// Sets the per-call deadline.
     pub fn with_designer_deadline_ms(mut self, ms: u64) -> Self {
         self.designer_deadline_ms = Some(ms);
@@ -87,14 +75,5 @@ mod tests {
         assert_eq!(p.backoff_ms(3), 150); // capped
         assert_eq!(p.backoff_ms(63), 150);
         assert_eq!(p.backoff_ms(64), 150); // shift overflow saturates
-    }
-
-    #[test]
-    fn none_policy_is_inert() {
-        let p = RetryPolicy::none();
-        assert_eq!(p.max_retries, 0);
-        assert_eq!(p.backoff_ms(0), 0);
-        assert!(p.designer_deadline_ms.is_none());
-        assert!(p.session_deadline_ms.is_none());
     }
 }

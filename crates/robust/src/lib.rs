@@ -1,44 +1,14 @@
-//! Generic robust optimization à la Bertsimas–Nohadani–Teo (BNT).
-//!
-//! Section 4.1 of the CliffGuard paper builds on the BNT framework for
-//! *robust nonconvex optimization with simulation-based cost functions*
-//! (Bertsimas, Nohadani & Teo, Operations Research 2010). CliffGuard itself
-//! replaces BNT's continuous moves with designer re-invocations (the
-//! database design space is discrete — challenges C3/C4), but the original
-//! continuous algorithm is part of the system the paper describes, so this
-//! crate implements it in full over `R^d`:
-//!
-//! * [`CostFn`] — a black-box cost function (no closed form required).
-//! * [`WorstNeighborFinder`] — *neighborhood exploration*: multistart
-//!   projected gradient ascent inside the Γ-ball to find the
-//!   worst-neighbors `U = argmax_{‖Δx‖≤Γ} f(x + Δx)` (Algorithm 1, line 5).
-//! * [`descent_direction`] — *robust local move*: a direction pointing away
-//!   from all worst-neighbors exists iff the origin is outside the convex
-//!   hull of the `Δx_i`; we find the minimum-norm point of that hull with a
-//!   Gilbert/Frank–Wolfe scheme and return its negation (this is the
-//!   geometry of the paper's Figure 3; BNT solve the same problem as a
-//!   SOCP).
-//! * [`BntOptimizer`] — the full Algorithm 1 loop with a diminishing step
-//!   schedule (`t_k → 0`, `Σ t_k = ∞`) plus backtracking.
-//!
-//! The tests reproduce the geometric behavior of the paper's Figures 3–4:
-//! on cost surfaces with "cliffs" the robust optimum backs away from the
-//! nominal one by about Γ.
+//! Replica crash masks, the failure axis of `cliffguard-core`'s replicated
+//! designs: a [`FailureMask`] is a bitset of crashed replicas, and the
+//! failure-aware objective takes the worst cost over every mask with up
+//! to `k` crashes ([`enumerate_masks`], [`worst_over_masks`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bnt;
-mod descent;
 mod failure;
-mod function;
-mod neighborhood;
 
-pub use bnt::{BntOptimizer, BntReport};
-pub use descent::{descent_direction, min_norm_point};
 pub use failure::{
     capacity_inflation, enumerate_masks, is_crashed, survivors, worst_over_masks, FailureMask,
     MAX_REPLICAS,
 };
-pub use function::{testfns, CostFn, FnCost};
-pub use neighborhood::WorstNeighborFinder;

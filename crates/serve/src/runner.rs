@@ -279,7 +279,6 @@ pub fn run_design(
         stop: opts.stop.clone(),
         checkpoint_every: opts.checkpoint_every.max(1),
         abort_after_iterations: opts.abort_after_iterations,
-        ..SessionOptions::default()
     };
     let config = CliffGuardConfig::new(gamma).with_seed(req.seed);
 

@@ -42,13 +42,20 @@ fn generate(dir: &Path) -> (String, String) {
     (catalog.to_string(), log.to_string())
 }
 
-/// Runs the CLI on `args` and expects a refusal: exit code 1 and a
-/// message containing `why`.
-fn assert_refused(args: &[&str], why: &str) {
-    let out = Command::new(bin()).args(args).output().unwrap();
+/// Runs `cmd` with `flags` on a freshly generated catalog and log and
+/// expects a refusal: exit code 1 and a message containing `why`.
+fn assert_refused(cmd: &str, flags: &[&str], why: &str) {
+    let dir = tmpdir(&format!("refused-{cmd}{}", flags.concat()));
+    let (catalog, log) = generate(&dir);
+    let out = Command::new(bin())
+        .args([cmd, "--catalog", &catalog, "--log", &log])
+        .args(flags)
+        .output()
+        .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-    assert!(stderr.contains(why), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "{cmd} {flags:?}: {stderr}");
+    assert!(stderr.contains(why), "{cmd} {flags:?}: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -399,81 +406,53 @@ fn cli_design_and_the_daemon_run_one_path() {
 
 #[test]
 fn design_refuses_a_non_finite_gamma() {
-    let dir = tmpdir("gamma");
-    let (catalog, log) = generate(&dir);
     for gamma in ["nan", "inf"] {
-        assert_refused(
-            &[
-                "design",
-                "--catalog",
-                &catalog,
-                "--log",
-                &log,
-                "--gamma",
-                gamma,
-            ],
-            "gamma must be finite",
-        );
+        assert_refused("design", &["--gamma", gamma], "gamma must be finite");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn zero_window_days_is_refused_not_a_panic() {
-    let dir = tmpdir("window-zero");
-    let (catalog, log) = generate(&dir);
     for cmd in ["stats", "design", "evaluate"] {
-        assert_refused(
-            &[
-                cmd,
-                "--catalog",
-                &catalog,
-                "--log",
-                &log,
-                "--window-days",
-                "0",
-            ],
-            "bad --window-days `0`",
-        );
+        assert_refused(cmd, &["--window-days", "0"], "bad --window-days `0`");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn non_numeric_window_days_is_refused() {
-    let dir = tmpdir("window-abc");
-    let (catalog, log) = generate(&dir);
-    assert_refused(
-        &[
-            "design",
-            "--catalog",
-            &catalog,
-            "--log",
-            &log,
-            "--window-days",
-            "abc",
-        ],
-        "bad --window-days `abc`",
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    let why = "bad --window-days `abc`";
+    assert_refused("design", &["--window-days", "abc"], why);
 }
 
 #[test]
 fn window_days_whose_seconds_overflow_u64_are_refused() {
     // 213503982334602 days × 86400 wraps to 61184 s unchecked.
-    let dir = tmpdir("window-overflow");
-    let (catalog, log) = generate(&dir);
-    assert_refused(
-        &[
-            "design",
-            "--catalog",
-            &catalog,
-            "--log",
-            &log,
-            "--window-days",
-            "213503982334602",
-        ],
-        "bad --window-days `213503982334602`",
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    let why = "bad --window-days `213503982334602`";
+    assert_refused("design", &["--window-days", "213503982334602"], why);
+}
+
+#[test]
+fn ingest_refuses_a_non_finite_gamma() {
+    for gamma in ["inf", "-inf", "nan"] {
+        let why = "gamma must be a finite number >= 0";
+        assert_refused("ingest", &["--gamma", gamma], why);
+    }
+}
+
+/// The protocol's refusal of `"budget":0`.
+const ZERO_BUDGET: &str = r#"budget must be "auto" or a positive integer"#;
+
+#[test]
+fn design_refuses_a_zero_budget() {
+    assert_refused("design", &["--budget", "0"], ZERO_BUDGET);
+}
+
+#[test]
+fn evaluate_refuses_a_zero_budget() {
+    assert_refused("evaluate", &["--budget", "0"], ZERO_BUDGET);
+}
+
+#[test]
+fn ingest_refuses_a_zero_budget() {
+    assert_refused("ingest", &["--budget", "0"], ZERO_BUDGET);
 }

@@ -50,21 +50,23 @@ fn pool() -> Vec<Arc<Query>> {
 
 const BUDGET: u64 = 10_000_000_000;
 
+/// Installs telemetry that traces every level to memory on `clock`.
+fn trace_to_memory(clock: TraceClock) -> TelemetryGuard {
+    install(TelemetryConfig {
+        trace: Some(TraceSink::Memory),
+        level: Level::Debug,
+        clock,
+        metrics: true,
+    })
+    .expect("memory sink installs")
+}
+
 /// Runs one seeded, fault-injected session with tracing to memory and
 /// returns the captured JSONL trace.
 fn traced_run(spec: &str) -> String {
     let session_clock = SessionClock::virtual_clock();
-    let trace_clock = {
-        let c = session_clock.clone();
-        TraceClock::shared_ms(move || c.now_ms())
-    };
-    let guard = install(TelemetryConfig {
-        trace: Some(TraceSink::Memory),
-        level: Level::Debug,
-        clock: trace_clock,
-        metrics: true,
-    })
-    .expect("memory sink installs");
+    let c = session_clock.clone();
+    let guard = trace_to_memory(TraceClock::shared_ms(move || c.now_ms()));
 
     let e = ColumnarEngine::new(catalog());
     let nominal = GreedyDesigner::new(&e, ColumnarCandidates, "DBD");
@@ -110,19 +112,20 @@ fn trace_is_byte_identical_across_thread_counts() {
     assert_eq!(t1, t8, "trace must not depend on the thread count");
 }
 
-#[test]
-fn trace_validates_against_golden_schema() {
-    let _lock = TELEMETRY.lock().unwrap();
+fn golden_schema() -> TraceSchema {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../schemas/trace.schema.json"
     );
-    let schema_text = std::fs::read_to_string(path).expect("golden schema present");
-    let schema = TraceSchema::parse(&schema_text).expect("golden schema parses");
+    TraceSchema::load(std::path::Path::new(path)).expect("golden schema loads")
+}
 
+#[test]
+fn trace_validates_against_golden_schema() {
+    let _lock = TELEMETRY.lock().unwrap();
     // A faulted run exercises the fault/retry/degraded events too.
     let trace = traced_run("fail@1,stall@2:40");
-    let n = schema
+    let n = golden_schema()
         .check_trace(&trace)
         .unwrap_or_else(|errs| panic!("schema violations: {errs:?}"));
     assert!(n >= 3, "expected start + iters + finish, got {n} lines");
@@ -174,4 +177,36 @@ fn metrics_snapshot_covers_every_layer() {
     // Deterministic, sorted JSON export round-trips through the shim.
     let json = snap.to_json();
     assert!(json.contains("cliffguard.core.designer_call_ms"));
+}
+
+#[test]
+fn daemon_trace_validates_against_golden_schema() {
+    use cliffguard::serve::harness::{design_line, ingest_line, ServeHarness};
+    use cliffguard::serve::{testdata, IngestRequest};
+
+    let _lock = TELEMETRY.lock().unwrap();
+    let guard = trace_to_memory(TraceClock::default());
+    // One design, an ingest stream in two frames (the second closes it
+    // with `eof`), a status scrape and a shutdown.
+    let (catalog, tape) = testdata::ingest_fixture(LogTapeConfig::default());
+    let (head, tail) = tape.text().split_at(tape.text().len() / 2);
+    let mut first = IngestRequest::new("stream", catalog, head);
+    first.window = Some(tape.config().window_len as u64);
+    let mut last = IngestRequest::chunk_only("stream", tail);
+    last.eof = true;
+    ServeHarness::new().run_tape(&[
+        design_line(&testdata::design_request("acme", 7)),
+        ingest_line(&first),
+        ingest_line(&last),
+        r#"{"op":"status"}"#.into(),
+        r#"{"op":"shutdown"}"#.into(),
+    ]);
+    let trace = guard.memory().expect("memory sink captured").to_jsonl();
+    golden_schema()
+        .check_trace(&trace)
+        .unwrap_or_else(|errs| panic!("schema violations: {errs:?}"));
+    for name in ["request", "session.end", "ingest.window", "shutdown"] {
+        let name = format!("\"cliffguard.serve.{name}\"");
+        assert!(trace.contains(&name), "no {name} in the trace");
+    }
 }
