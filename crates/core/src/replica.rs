@@ -113,12 +113,6 @@ impl<D: PhysicalDesign> ReplicatedDesign<D> {
         self.replicas.is_empty()
     }
 
-    /// Whether any two replicas differ.
-    pub fn is_divergent(&self) -> bool {
-        let first = self.replicas[0].fingerprint();
-        self.replicas.iter().any(|d| d.fingerprint() != first)
-    }
-
     /// Order-insensitive fingerprint of the design *set*: permuting the
     /// replicas never changes it.
     pub fn set_fingerprint(&self) -> u64 {

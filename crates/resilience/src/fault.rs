@@ -136,12 +136,6 @@ impl FaultPlan {
         }
     }
 
-    /// Sets the stall duration used by randomly chosen stalls.
-    pub fn with_stall_ms(mut self, ms: u64) -> Self {
-        self.stall_ms = ms;
-        self
-    }
-
     /// Adds an explicit fault at 1-based call index `call`.
     pub fn at(mut self, call: u64, kind: FaultKind) -> Self {
         self.explicit.retain(|&(c, _)| c != call);

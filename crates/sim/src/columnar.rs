@@ -120,9 +120,17 @@ impl PhysicalDesign for ColumnarDesign {
         s.size_bytes(catalog)
     }
 
+    // `price_bytes`, `len` and `fingerprint` read the projections in
+    // place instead of through a `structures()` clone.
+    fn price_bytes(&self, catalog: &Catalog) -> u64 {
+        self.projections.iter().map(|p| p.size_bytes(catalog)).sum()
+    }
+
+    fn len(&self) -> usize {
+        self.projections.len()
+    }
+
     fn fingerprint(&self) -> u64 {
-        // Same combination as the trait default, minus the structures()
-        // clone: projections hash in place.
         crate::engine::combine_structure_hashes(
             self.projections.iter().map(crate::engine::structure_hash),
         )
@@ -194,11 +202,6 @@ impl ColumnarEngine {
     /// Creates the engine with explicit cost constants.
     pub fn with_cost(catalog: Catalog, cost: CostConstants) -> Self {
         Self { catalog, cost }
-    }
-
-    /// The cost constants in use.
-    pub fn cost_constants(&self) -> &CostConstants {
-        &self.cost
     }
 
     /// Splits a query's referenced columns and predicates by table, and

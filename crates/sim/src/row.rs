@@ -180,6 +180,18 @@ impl PhysicalDesign for RowDesign {
         }
     }
 
+    // `price_bytes` and `len` read the indexes and views in place, as
+    // `fingerprint` does.
+    fn price_bytes(&self, catalog: &Catalog) -> u64 {
+        let indexes: u64 = self.indexes.iter().map(|i| i.size_bytes(catalog)).sum();
+        let views: u64 = self.views.iter().map(|v| v.size_bytes(catalog)).sum();
+        indexes + views
+    }
+
+    fn len(&self) -> usize {
+        self.indexes.len() + self.views.len()
+    }
+
     fn fingerprint(&self) -> u64 {
         // In place, without materializing `RowStructure` wrappers; the
         // (kind, inner) tuples hash distinctly per kind, so an index and

@@ -181,6 +181,43 @@ proptest! {
     }
 }
 
+/// `price_bytes` and `len` as the trait's defaults compute them: a sum and
+/// a count over `structures()`.
+fn via_structures<D: PhysicalDesign>(d: &D, cat: &Catalog) -> (u64, usize) {
+    let structures = d.structures();
+    let price = structures.iter().map(|s| D::structure_price(s, cat)).sum();
+    (price, structures.len())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Both engines' designs price and count their structures in place;
+    /// that must equal pricing and counting `structures()`.
+    #[test]
+    fn in_place_price_and_len_match_structures(
+        projections in proptest::collection::vec(arb_projection(), 0..6),
+        keys in proptest::collection::vec(proptest::collection::vec(0..N_COLS, 1..4), 0..4),
+        views in proptest::collection::vec(proptest::collection::vec(0..N_COLS, 1..5), 0..4),
+    ) {
+        let cat = catalog();
+        let columnar = ColumnarDesign::from_structures(projections);
+        let indexes = keys.iter().map(|key| {
+            RowStructure::Index(Index::new(TableId(0), key.iter().map(|&c| ColumnId(c)).collect()))
+        });
+        let views = views.iter().map(|cols| {
+            RowStructure::MatView(MatView::new(
+                TableId(0),
+                ColumnSet::from_ids(cols),
+                ColumnSet::from_ids(&cols[..1]),
+            ))
+        });
+        let row = RowDesign::from_structures(indexes.chain(views).collect());
+        prop_assert_eq!((columnar.price_bytes(&cat), columnar.len()), via_structures(&columnar, &cat));
+        prop_assert_eq!((row.price_bytes(&cat), row.len()), via_structures(&row, &cat));
+    }
+}
+
 /// A design of unsorted projections, one per column group.
 fn design_of(col_groups: &[Vec<u32>]) -> ColumnarDesign {
     ColumnarDesign::from_structures(

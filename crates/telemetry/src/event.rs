@@ -218,14 +218,6 @@ impl SpanGuard {
             r.fields.push_str(if v { "true" } else { "false" });
         }
     }
-
-    /// Adds a string field to the span before it closes.
-    pub fn record_str(&mut self, key: &str, v: &str) {
-        if let Some(r) = &mut self.inner {
-            r.push_key(key);
-            push_str_literal(&mut r.fields, v);
-        }
-    }
 }
 
 impl Drop for SpanGuard {

@@ -37,7 +37,9 @@ use crate::logio::{split_record, Record};
 use crate::parser::parse_query;
 use crate::query::Query;
 use crate::resolve::NameResolver;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Default bound on distinct statement texts kept in the parse cache.
@@ -88,7 +90,7 @@ pub struct LogStream {
     /// Bytes of the current unterminated line, reused across chunks.
     carry: Vec<u8>,
     /// Statement text → parse outcome (`Some(id)` parsed, `None` rejected).
-    cache: HashMap<String, Option<QueryId>>,
+    cache: HashMap<String, Option<QueryId>, StatementKeys>,
     cache_capacity: usize,
     /// Cache generations discarded so far (cap reached).
     cache_resets: u64,
@@ -113,7 +115,7 @@ impl LogStream {
         Self {
             interner: WorkloadInterner::new(),
             carry: Vec::new(),
-            cache: HashMap::new(),
+            cache: HashMap::with_hasher(StatementKeys::random()),
             cache_capacity: capacity.max(1),
             cache_resets: 0,
             stats: StreamStats::default(),
@@ -144,12 +146,29 @@ impl LogStream {
                 }
             }
         }
-        // Complete lines are processed straight out of the chunk, copy-free.
-        while let Some(pos) = data.iter().position(|&b| b == b'\n') {
-            self.process_line(strip_cr(&data[..pos]), resolver, sink);
-            data = &data[pos + 1..];
+        // Complete lines are processed straight out of the chunk, copy-free,
+        // under one UTF-8 check for all of them.
+        let Some(last) = data.iter().rposition(|&b| b == b'\n') else {
+            self.carry.extend_from_slice(data);
+            return;
+        };
+        let (lines, rest) = data.split_at(last + 1);
+        match std::str::from_utf8(lines) {
+            Ok(text) => {
+                for line in text.split_terminator('\n') {
+                    let line = line.strip_suffix('\r').unwrap_or(line);
+                    self.process_record(split_record(line), resolver, sink);
+                }
+            }
+            // Some line is not UTF-8: check each on its own, so that only
+            // the invalid lines are malformed.
+            Err(_) => {
+                for line in lines[..last].split(|&b| b == b'\n') {
+                    self.process_line(strip_cr(line), resolver, sink);
+                }
+            }
         }
-        self.carry.extend_from_slice(data);
+        self.carry.extend_from_slice(rest);
     }
 
     /// Flushes the trailing unterminated line, if any (a final line without
@@ -175,8 +194,18 @@ impl LogStream {
         resolver: &dyn NameResolver,
         sink: &mut ArrivalSink<'_>,
     ) {
-        self.stats.lines += 1;
         let record = std::str::from_utf8(line).map_or(Record::Malformed, split_record);
+        self.process_record(record, resolver, sink);
+    }
+
+    /// One classified line: counted, then emitted, skipped, or ignored.
+    fn process_record(
+        &mut self,
+        record: Record<'_>,
+        resolver: &dyn NameResolver,
+        sink: &mut ArrivalSink<'_>,
+    ) {
+        self.stats.lines += 1;
         let (timestamp, sql) = match record {
             Record::Blank => return,
             Record::Malformed => {
@@ -284,6 +313,84 @@ fn strip_cr(line: &[u8]) -> &[u8] {
     }
 }
 
+/// The statement cache's hash keys, drawn from [`RandomState`] once per
+/// stream.
+///
+/// The cache is keyed by log text, which the daemon's tenants supply, and
+/// ingest runs on the daemon's one request loop; without the keys no one
+/// can choose texts that collide. The hash is one folded 64×64→128-bit
+/// multiply per 8 bytes of text, a fraction of SipHash-1-3's cost on
+/// statement-length keys. The cache is probed, filled and cleared but never
+/// iterated, so no output depends on the keys.
+struct StatementKeys {
+    seed: u64,
+    multiplier: u64,
+}
+
+impl std::fmt::Debug for StatementKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The keys stay out of debug output.
+        f.debug_struct("StatementKeys").finish_non_exhaustive()
+    }
+}
+
+impl StatementKeys {
+    fn random() -> Self {
+        let keys = RandomState::new();
+        Self {
+            seed: keys.hash_one(0u8),
+            multiplier: keys.hash_one(1u8) | 1,
+        }
+    }
+}
+
+impl BuildHasher for StatementKeys {
+    type Hasher = StatementHasher;
+
+    fn build_hasher(&self) -> StatementHasher {
+        StatementHasher {
+            hash: self.seed,
+            multiplier: self.multiplier,
+        }
+    }
+}
+
+struct StatementHasher {
+    hash: u64,
+    multiplier: u64,
+}
+
+impl StatementHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.hash ^ word) * u128::from(self.multiplier);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+impl Hasher for StatementHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        // The length goes first, so the last word's zero padding cannot
+        // make two texts of different lengths read the same.
+        self.mix(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,6 +466,48 @@ mod tests {
         assert_eq!(arrivals.len(), 1);
         assert_eq!(stats.parsed, 1);
         assert_eq!(stats.skipped_malformed, 2);
+    }
+
+    #[test]
+    fn an_invalid_line_in_a_chunk_spoils_only_itself() {
+        let mut bytes = b"100\tSELECT id FROM sales\r\n# note\n".to_vec();
+        bytes.extend_from_slice(b"101\tSELECT \xff FROM sales\n");
+        bytes.extend_from_slice(b"102\tSELECT amount FROM sales WHERE region = '\xc3\xa9'\n\n");
+        bytes.extend_from_slice(b"103\tSELECT id FROM sales\n");
+        let r = resolver();
+        let run = |pieces: &mut dyn Iterator<Item = &[u8]>| {
+            let mut s = LogStream::new();
+            let mut out = Vec::new();
+            let mut sink = |ts: u64, _: QueryId, q: &Arc<Query>| out.push((ts, q.signature().0));
+            for piece in pieces {
+                s.feed(piece, &r, &mut sink);
+            }
+            s.finish(&r, &mut sink);
+            (out, s.stats().clone(), s.cached_statements())
+        };
+        let whole = run(&mut std::iter::once(&bytes[..]));
+        let by_line = run(&mut bytes.split_inclusive(|&b| b == b'\n'));
+        assert_eq!(whole, by_line);
+        let (arrivals, stats, cached) = whole;
+        assert_eq!(arrivals.len(), 3);
+        assert_eq!((stats.lines, stats.skipped_malformed), (6, 1));
+        assert_eq!(cached, 2);
+    }
+
+    #[test]
+    fn statement_hash_is_keyed_per_stream() {
+        let (a, b) = (LogStream::new(), LogStream::new());
+        let text = "SELECT amount FROM sales WHERE region = 'w'";
+        assert_ne!(
+            a.cache.hasher().hash_one(text),
+            b.cache.hasher().hash_one(text),
+            "an unkeyed hash gives every stream the same buckets"
+        );
+        // Zero padding must not alias texts of different lengths.
+        let keys = a.cache.hasher();
+        for (x, y) in [("x", "x\0"), ("", "\0")] {
+            assert_ne!(keys.hash_one(x), keys.hash_one(y), "{x:?} vs {y:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! must all be unobservable.
 
 use cliffguard::prelude::*;
-use cliffguard::workload::{LogStream, SimpleResolver};
+use cliffguard::workload::{LogStream, SimpleResolver, StreamStats};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -89,6 +89,100 @@ proptest! {
         let whole = run_stream(&bytes, &[], &resolver);
         let split = run_stream(&bytes, &cuts, &resolver);
         prop_assert_eq!(whole, split);
+    }
+}
+
+/// One generated log line, terminator included, from a kind and a
+/// parameter: records with `\n` and `\r\n` endings, multi-byte UTF-8 in
+/// literals, invalid UTF-8, comments, blanks, malformed and unparseable
+/// records, and records far longer than a small chunk.
+fn oracle_line(kind: usize, p: u64) -> Vec<u8> {
+    let ts = p % 100_000;
+    let mut line = match kind {
+        0 => format!("{ts}\tSELECT c0 FROM t0 WHERE c1 = {}\n", p % 7).into_bytes(),
+        1 => format!("{ts}\tselect c0, c1 from t1 order by c1\r\n").into_bytes(),
+        2 => format!("{ts}\tSELECT c2 FROM t0 WHERE c0 = 'é✓{}'\n", p % 3).into_bytes(),
+        3 => {
+            // A lone continuation byte, a cut two-byte sequence or a
+            // surrogate, inside an otherwise valid record.
+            let bad: &[u8] = [&b"\x80"[..], b"\xc3(", b"\xed\xa0\x80"][(p % 3) as usize];
+            [
+                format!("{ts}\tSELECT c0 FROM t0 WHERE c2 = '").as_bytes(),
+                bad,
+                b"'\n",
+            ]
+            .concat()
+        }
+        4 => "# comment ✓\n".into(),
+        5 => [&b"\n"[..], b"  \r\n"][(p % 2) as usize].to_vec(),
+        6 => format!(
+            "{ts}\tSELECT c1 FROM t1 WHERE c0 = '{}'\n",
+            "ü".repeat((p % 3000) as usize)
+        )
+        .into_bytes(),
+        7 => format!("no tab here {p}\n").into_bytes(),
+        _ => format!("{ts}\tDELETE FROM t0\n").into_bytes(),
+    };
+    if p % 11 == 0 && !line.ends_with(b"\r\n") {
+        // Some lines of every kind end in `\r\n`.
+        line.insert(line.len() - 1, b'\r');
+    }
+    line
+}
+
+/// Everything a [`LogStream`] reports after `bytes` arrive in chunks of the
+/// given sizes (cycled): arrivals with their ids and signatures, all five
+/// counters and the statement-cache size.
+fn stream_outcome(
+    bytes: &[u8],
+    sizes: &[usize],
+    resolver: &SimpleResolver,
+) -> (Vec<(u64, u32, u64)>, StreamStats, usize) {
+    let mut stream = LogStream::new();
+    let mut arrivals = Vec::new();
+    {
+        let mut sink =
+            |ts: u64, id: QueryId, q: &Arc<Query>| arrivals.push((ts, id.0, q.signature().0));
+        let mut rest = bytes;
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
+            stream.feed(chunk, resolver, &mut sink);
+            rest = tail;
+        }
+        stream.finish(resolver, &mut sink);
+    }
+    (arrivals, stream.stats().clone(), stream.cached_statements())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Oracle: at 1-byte chunks every non-blank line completes a carried
+    /// line and is UTF-8-checked on its own. Any other chunking — sizes
+    /// up to 64 KiB, so whole runs of lines share one check — must report
+    /// the same.
+    #[test]
+    fn any_chunking_matches_one_byte_chunks(
+        lines in proptest::collection::vec((0usize..9, 0u64..u64::MAX), 1..400),
+        sizes in proptest::collection::vec((0u32..17, 0u64..u64::MAX), 1..8),
+        terminated in 0u8..2,
+    ) {
+        let mut bytes: Vec<u8> = lines.iter().flat_map(|&(k, p)| oracle_line(k, p)).collect();
+        if terminated == 0 {
+            bytes.pop();
+        }
+        // Sizes in 1..=64 KiB, spread evenly over their powers of two.
+        let sizes: Vec<usize> = sizes
+            .iter()
+            .map(|&(shift, r)| 1 + (r as usize) % (1usize << shift))
+            .collect();
+        let resolver = soup_resolver();
+        let oracle = stream_outcome(&bytes, &[1], &resolver);
+        prop_assert!(oracle.1.lines as usize >= lines.len() - 1);
+        prop_assert_eq!(stream_outcome(&bytes, &sizes, &resolver), oracle);
     }
 }
 

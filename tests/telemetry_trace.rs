@@ -11,11 +11,18 @@
 
 use cliffguard::prelude::*;
 use cliffguard::trace_schema::TraceSchema;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Telemetry globals are process-wide; every test that installs a
 /// subscriber serializes on this lock.
 static TELEMETRY: Mutex<()> = Mutex::new(());
+
+/// Takes [`TELEMETRY`]. A test that failed while holding it poisons it,
+/// but the lock guards no data, so the next test goes on and reports its
+/// own verdict.
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn catalog() -> Catalog {
     Catalog::new(vec![TableDef {
@@ -93,7 +100,7 @@ const SPEC: &str = "seed=1,rate=0.3";
 
 #[test]
 fn trace_is_byte_identical_across_reruns() {
-    let _lock = TELEMETRY.lock().unwrap();
+    let _lock = telemetry_lock();
     let t1 = traced_run(SPEC);
     let t2 = traced_run(SPEC);
     assert!(!t1.is_empty(), "trace must capture events");
@@ -102,7 +109,7 @@ fn trace_is_byte_identical_across_reruns() {
 
 #[test]
 fn trace_is_byte_identical_across_thread_counts() {
-    let _lock = TELEMETRY.lock().unwrap();
+    let _lock = telemetry_lock();
     let saved = current_threads();
     set_threads(1);
     let t1 = traced_run(SPEC);
@@ -122,7 +129,7 @@ fn golden_schema() -> TraceSchema {
 
 #[test]
 fn trace_validates_against_golden_schema() {
-    let _lock = TELEMETRY.lock().unwrap();
+    let _lock = telemetry_lock();
     // A faulted run exercises the fault/retry/degraded events too.
     let trace = traced_run("fail@1,stall@2:40");
     let n = golden_schema()
@@ -137,7 +144,7 @@ fn trace_validates_against_golden_schema() {
 
 #[test]
 fn metrics_snapshot_covers_every_layer() {
-    let _lock = TELEMETRY.lock().unwrap();
+    let _lock = telemetry_lock();
     let session_clock = SessionClock::virtual_clock();
     let guard = install(TelemetryConfig {
         metrics: true,
@@ -184,7 +191,7 @@ fn daemon_trace_validates_against_golden_schema() {
     use cliffguard::serve::harness::{design_line, ingest_line, ServeHarness};
     use cliffguard::serve::{testdata, IngestRequest};
 
-    let _lock = TELEMETRY.lock().unwrap();
+    let _lock = telemetry_lock();
     let guard = trace_to_memory(TraceClock::default());
     // One design, an ingest stream in two frames (the second closes it
     // with `eof`), a status scrape and a shutdown.
