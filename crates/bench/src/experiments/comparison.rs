@@ -28,7 +28,7 @@ pub fn compare_all<E, G>(
 ) -> Vec<EvalSummary>
 where
     E: EngineExt + PlanningEngine,
-    G: CandidateGen<E> + Copy,
+    G: CandidateGen<E> + Copy + Sync,
     <E::Design as PhysicalDesign>::Structure: Clone,
 {
     let metric = DeltaEuclidean::new(n_columns);
@@ -40,43 +40,39 @@ where
     let gamma = GammaPolicy::KMaxPastDeltas(1.5);
 
     let mut out = vec![evaluate_strategy(
-        engine,
-        &mut NoDesign,
-        windows,
-        &metric,
-        &opts,
+        engine, &NoDesign, windows, &metric, &opts,
     )];
     out.push(evaluate_strategy(
         engine,
-        &mut FutureKnowingDesigner::new(&nominal),
+        &FutureKnowingDesigner::new(&nominal),
         windows,
         &metric,
         &opts,
     ));
     out.push(evaluate_strategy(
         engine,
-        &mut ExistingDesigner::new(&nominal),
+        &ExistingDesigner::new(&nominal),
         windows,
         &metric,
         &opts,
     ));
     out.push(evaluate_strategy(
         engine,
-        &mut MajorityVoteDesigner::new(&nominal, metric, gamma, seed),
+        &MajorityVoteDesigner::new(&nominal, metric, gamma, seed),
         windows,
         &metric,
         &opts,
     ));
     out.push(evaluate_strategy(
         engine,
-        &mut OptimalLocalSearchDesigner::new(generator, metric, gamma, seed),
+        &OptimalLocalSearchDesigner::new(generator, metric, gamma, seed),
         windows,
         &metric,
         &opts,
     ));
     out.push(evaluate_strategy(
         engine,
-        &mut CliffGuardStrategy::new(&nominal, metric, gamma, seed),
+        &CliffGuardStrategy::new(&nominal, metric, gamma, seed),
         windows,
         &metric,
         &opts,

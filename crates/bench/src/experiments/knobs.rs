@@ -27,7 +27,7 @@ fn gamma_sweep(id: &str, profile: WorkloadProfile, scale: Scale, seed: u64) -> V
     let typical = DeltaStats::of(&consecutive_deltas(&metric, &setup.windows)).avg;
     let existing = evaluate_strategy(
         &setup.engine,
-        &mut ExistingDesigner::new(&nominal),
+        &ExistingDesigner::new(&nominal),
         &setup.windows,
         &metric,
         &opts,
@@ -50,8 +50,8 @@ fn gamma_sweep(id: &str, profile: WorkloadProfile, scale: Scale, seed: u64) -> V
     );
     for factor in [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
         let gamma = typical * factor;
-        let mut s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::Fixed(gamma), seed);
-        let r = evaluate_strategy(&setup.engine, &mut s, &setup.windows, &metric, &opts);
+        let s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::Fixed(gamma), seed);
+        let r = evaluate_strategy(&setup.engine, &s, &setup.windows, &metric, &opts);
         t.row(vec![
             fnum(gamma),
             fnum(r.mean_avg_ms),
@@ -91,7 +91,7 @@ pub mod fig09 {
 pub mod fig11 {
     use super::*;
 
-    fn run_metric<M: WorkloadDistance + Copy>(
+    fn run_metric<M: WorkloadDistance + Copy + Sync>(
         setup: &ColumnarSetup,
         metric: M,
         seed: u64,
@@ -101,9 +101,8 @@ pub mod fig11 {
             budget_bytes: setup.budget,
             designable_factor: 3.0,
         };
-        let mut s =
-            CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), seed);
-        let r = evaluate_strategy(&setup.engine, &mut s, &setup.windows, &metric, &opts);
+        let s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), seed);
+        let r = evaluate_strategy(&setup.engine, &s, &setup.windows, &metric, &opts);
         (r.mean_avg_ms, r.mean_max_ms)
     }
 
@@ -168,7 +167,7 @@ pub mod fig12 {
             let mut s =
                 CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), seed);
             s.config.n_samples = n;
-            let r = evaluate_strategy(&setup.engine, &mut s, &setup.windows, &metric, &opts);
+            let r = evaluate_strategy(&setup.engine, &s, &setup.windows, &metric, &opts);
             t.row(vec![
                 n.to_string(),
                 fnum(r.mean_avg_ms),
@@ -203,7 +202,7 @@ pub mod fig13 {
                 CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), seed);
             s.config.max_iters = iters;
             s.config.patience = iters.max(1);
-            let r = evaluate_strategy(&setup.engine, &mut s, &setup.windows, &metric, &opts);
+            let r = evaluate_strategy(&setup.engine, &s, &setup.windows, &metric, &opts);
             t.row(vec![
                 iters.to_string(),
                 fnum(r.mean_avg_ms),

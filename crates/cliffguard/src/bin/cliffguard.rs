@@ -937,7 +937,7 @@ fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
         metric: &DeltaEuclidean,
         eval_opts: &EvalOptions,
         name: &str,
-        s: &mut S,
+        s: &S,
     ) {
         let r = evaluate_strategy(engine, s, windows, metric, eval_opts);
         println!(
@@ -946,12 +946,7 @@ fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
         );
     }
     run(
-        &engine,
-        &windows,
-        &metric,
-        &eval_opts,
-        "NoDesign",
-        &mut NoDesign,
+        &engine, &windows, &metric, &eval_opts, "NoDesign", &NoDesign,
     );
     run(
         &engine,
@@ -959,7 +954,7 @@ fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
         &metric,
         &eval_opts,
         "ExistingDesigner",
-        &mut ExistingDesigner::new(&nominal),
+        &ExistingDesigner::new(&nominal),
     );
     run(
         &engine,
@@ -967,7 +962,7 @@ fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
         &metric,
         &eval_opts,
         "FutureKnowing (oracle)",
-        &mut FutureKnowingDesigner::new(&nominal),
+        &FutureKnowingDesigner::new(&nominal),
     );
     run(
         &engine,
@@ -975,7 +970,7 @@ fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
         &metric,
         &eval_opts,
         "AdaptiveIndexing",
-        &mut AdaptiveIndexingStrategy::<cliffguard::sim::Projection>::new(),
+        &AdaptiveIndexingStrategy::<cliffguard::sim::Projection>::new(),
     );
     run(
         &engine,
@@ -983,7 +978,7 @@ fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
         &metric,
         &eval_opts,
         "CliffGuard",
-        &mut CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 7),
+        &CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 7),
     );
     Ok(())
 }

@@ -17,8 +17,8 @@
 //!   designs.
 //! * [`core`] — CliffGuard itself (Algorithms 2–3), the baselines, and the
 //!   windowed evaluation harness.
-//! * [`parallel`] — the deterministic thread fan-out behind the hot loops
-//!   (`--threads` / `CLIFFGUARD_THREADS`).
+//! * [`parallel`] — the deterministic thread fan-out that designs the
+//!   evaluation windows in parallel (`--threads` / `CLIFFGUARD_THREADS`).
 //! * [`resilience`] — the fault-injected, deadline-aware session runtime:
 //!   seeded fault plans (`CLIFFGUARD_FAULTS`), retry/backoff policies on a
 //!   virtual clock, and graceful degradation.
@@ -79,8 +79,7 @@ pub mod prelude {
     pub use cliffguard_core::adaptive::AdaptiveIndexingStrategy;
     pub use cliffguard_core::baselines::{
         CliffGuardStrategy, DesignStrategy, ExistingDesigner, FutureKnowingDesigner,
-        GreedyLocalSearchDesigner, MajorityVoteDesigner, NoDesign, OptimalLocalSearchDesigner,
-        WindowCtx,
+        MajorityVoteDesigner, NoDesign, OptimalLocalSearchDesigner, WindowCtx,
     };
     pub use cliffguard_core::evaluate::{evaluate_strategy, EvalOptions, EvalSummary};
     pub use cliffguard_core::gamma::{consecutive_deltas, DeltaStats, GammaPolicy};

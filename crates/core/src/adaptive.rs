@@ -20,10 +20,19 @@ use crate::engines::EngineExt;
 use cliffguard_sim::PhysicalDesign;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Mutex;
 
 /// Window-granular adaptive indexing: accumulate the structures recent
 /// queries would crack into existence; evict by recency under the budget.
+///
+/// The store carries over from window to window, so the strategy reports
+/// [`carries_state`](DesignStrategy::carries_state) and the harness
+/// designs its windows in order.
 pub struct AdaptiveIndexingStrategy<S> {
+    store: Mutex<Store<S>>,
+}
+
+struct Store<S> {
     /// Structure → (last window index in which a query wanted it, the
     /// sequence number of its first sighting). The sequence number breaks
     /// recency ties, so the ranking never depends on hash-map order.
@@ -34,8 +43,10 @@ pub struct AdaptiveIndexingStrategy<S> {
 impl<S> Default for AdaptiveIndexingStrategy<S> {
     fn default() -> Self {
         Self {
-            seen: HashMap::new(),
-            next_seq: 0,
+            store: Mutex::new(Store {
+                seen: HashMap::new(),
+                next_seq: 0,
+            }),
         }
     }
 }
@@ -56,13 +67,21 @@ where
         "AdaptiveIndexing".into()
     }
 
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design {
+    fn carries_state(&self) -> bool {
+        true
+    }
+
+    fn design(&self, ctx: &WindowCtx<'_, E>) -> E::Design {
+        let mut store = self
+            .store
+            .lock()
+            .expect("an earlier window's design panicked mid-update of the store");
+        let Store { seen, next_seq } = &mut *store;
         // "Crack": every query of the just-finished window materializes its
         // tailored structures (on-demand creation, no lookahead).
         for (q, _) in ctx.current.iter() {
             for s in ctx.engine.ideal_design_for(q).structures() {
-                let next_seq = &mut self.next_seq;
-                let entry = self.seen.entry(s).or_insert_with(|| {
+                let entry = seen.entry(s).or_insert_with(|| {
                     *next_seq += 1;
                     (ctx.window_index, *next_seq)
                 });
@@ -72,7 +91,7 @@ where
         // Keep the most recently wanted structures within the budget;
         // among equally recent ones, the first seen.
         let mut ranked: Vec<(&S2<E>, (usize, u64))> =
-            self.seen.iter().map(|(s, &rank)| (s, rank)).collect();
+            seen.iter().map(|(s, &rank)| (s, rank)).collect();
         ranked.sort_by_key(|&(_, (w, seq))| (std::cmp::Reverse(w), seq));
         let mut chosen = Vec::new();
         let mut remaining = ctx.budget;
@@ -87,7 +106,7 @@ where
         // they fall `RETENTION` windows behind (bounded memory).
         const RETENTION: usize = 6;
         let cutoff = ctx.window_index.saturating_sub(RETENTION);
-        self.seen.retain(|_, (w, _)| *w >= cutoff);
+        seen.retain(|_, (w, _)| *w >= cutoff);
         E::Design::from_structures(chosen)
     }
 }
@@ -140,11 +159,11 @@ mod tests {
             budget_bytes: 60 << 30,
             designable_factor: 3.0,
         };
-        let mut crack = AdaptiveIndexingStrategy::<Projection>::new();
-        let r = evaluate_strategy(&engine, &mut crack, &windows, &metric, &opts);
+        let crack = AdaptiveIndexingStrategy::<Projection>::new();
+        let r = evaluate_strategy(&engine, &crack, &windows, &metric, &opts);
         // Window 2 is evaluated with structures from windows 0 AND 1 — the
         // cracked store accumulated both, so both query families are fast.
-        let none = evaluate_strategy(&engine, &mut NoDesign, &windows, &metric, &opts);
+        let none = evaluate_strategy(&engine, &NoDesign, &windows, &metric, &opts);
         let (Some(last), Some(last_none)) = (r.windows.last(), none.windows.last()) else {
             panic!("both evaluations should have recorded windows");
         };
@@ -168,13 +187,13 @@ mod tests {
         let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
         let existing = evaluate_strategy(
             &engine,
-            &mut ExistingDesigner::new(&nominal),
+            &ExistingDesigner::new(&nominal),
             &windows,
             &metric,
             &opts,
         );
-        let mut crack = AdaptiveIndexingStrategy::<Projection>::new();
-        let cracked = evaluate_strategy(&engine, &mut crack, &windows, &metric, &opts);
+        let crack = AdaptiveIndexingStrategy::<Projection>::new();
+        let cracked = evaluate_strategy(&engine, &crack, &windows, &metric, &opts);
         assert!(
             cracked.mean_avg_ms < existing.mean_avg_ms,
             "cracking {:.0} should beat always-wrong nominal {:.0}",
@@ -197,8 +216,8 @@ mod tests {
             budget_bytes: 200 << 20,
             designable_factor: 1.0,
         };
-        let mut crack = AdaptiveIndexingStrategy::<Projection>::new();
-        let r = evaluate_strategy(&engine, &mut crack, &windows, &metric, &opts);
+        let crack = AdaptiveIndexingStrategy::<Projection>::new();
+        let r = evaluate_strategy(&engine, &crack, &windows, &metric, &opts);
         for w in &r.windows {
             assert!(w.price_bytes <= 200 << 20);
         }

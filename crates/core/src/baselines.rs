@@ -33,12 +33,23 @@ pub struct WindowCtx<'a, E: Engine> {
 }
 
 /// A strategy producing one design per window.
-pub trait DesignStrategy<E: Engine> {
+///
+/// Strategies are shared between threads: the evaluation harness designs
+/// the windows of a strategy that carries no state from one window to the
+/// next in parallel ([`evaluate_strategy`](crate::evaluate::evaluate_strategy)).
+pub trait DesignStrategy<E: Engine>: Sync {
     /// Strategy name as used in the paper's figures.
     fn name(&self) -> String;
 
     /// Designs for the next window given the context.
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design;
+    fn design(&self, ctx: &WindowCtx<'_, E>) -> E::Design;
+
+    /// Whether a window's design depends on the windows designed before
+    /// it. The harness designs such a strategy's windows one at a time,
+    /// in window order.
+    fn carries_state(&self) -> bool {
+        false
+    }
 }
 
 // ------------------------------------------------------------ NoDesign --
@@ -52,7 +63,7 @@ impl<E: Engine> DesignStrategy<E> for NoDesign {
     fn name(&self) -> String {
         "NoDesign".into()
     }
-    fn design(&mut self, _ctx: &WindowCtx<'_, E>) -> E::Design {
+    fn design(&self, _ctx: &WindowCtx<'_, E>) -> E::Design {
         E::Design::default()
     }
 }
@@ -72,11 +83,11 @@ impl<'d, D> ExistingDesigner<'d, D> {
     }
 }
 
-impl<E: Engine, D: NominalDesigner<E>> DesignStrategy<E> for ExistingDesigner<'_, D> {
+impl<E: Engine, D: NominalDesigner<E> + Sync> DesignStrategy<E> for ExistingDesigner<'_, D> {
     fn name(&self) -> String {
         "ExistingDesigner".into()
     }
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design {
+    fn design(&self, ctx: &WindowCtx<'_, E>) -> E::Design {
         self.designer.design(ctx.current, ctx.budget)
     }
 }
@@ -96,11 +107,11 @@ impl<'d, D> FutureKnowingDesigner<'d, D> {
     }
 }
 
-impl<E: Engine, D: NominalDesigner<E>> DesignStrategy<E> for FutureKnowingDesigner<'_, D> {
+impl<E: Engine, D: NominalDesigner<E> + Sync> DesignStrategy<E> for FutureKnowingDesigner<'_, D> {
     fn name(&self) -> String {
         "FutureKnowingDesigner".into()
     }
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design {
+    fn design(&self, ctx: &WindowCtx<'_, E>) -> E::Design {
         self.designer.design(ctx.future, ctx.budget)
     }
 }
@@ -137,14 +148,14 @@ impl<'d, D, M> MajorityVoteDesigner<'d, D, M> {
 impl<E, D, M> DesignStrategy<E> for MajorityVoteDesigner<'_, D, M>
 where
     E: Engine,
-    D: NominalDesigner<E>,
-    M: WorkloadDistance + Copy,
+    D: NominalDesigner<E> + Sync,
+    M: WorkloadDistance + Copy + Sync,
 {
     fn name(&self) -> String {
         "MajorityVoteDesigner".into()
     }
 
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design {
+    fn design(&self, ctx: &WindowCtx<'_, E>) -> E::Design {
         let gamma = self.gamma.resolve(ctx.past_deltas);
         let mut sampler = NeighborhoodSampler::new(
             self.metric,
@@ -214,15 +225,15 @@ impl<G, M> OptimalLocalSearchDesigner<G, M> {
 impl<E, G, M> DesignStrategy<E> for OptimalLocalSearchDesigner<G, M>
 where
     E: PlanningEngine,
-    G: CandidateGen<E>,
-    M: WorkloadDistance + Copy,
+    G: CandidateGen<E> + Sync,
+    M: WorkloadDistance + Copy + Sync,
     <E::Design as PhysicalDesign>::Structure: Clone,
 {
     fn name(&self) -> String {
         "OptimalLocalSearchDesigner".into()
     }
 
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design {
+    fn design(&self, ctx: &WindowCtx<'_, E>) -> E::Design {
         let gamma = self.gamma.resolve(ctx.past_deltas);
         let mut sampler = NeighborhoodSampler::new(
             self.metric,
@@ -239,69 +250,6 @@ where
         let candidates = self.generator.candidates(ctx.engine, &representative);
         let matrix = BenefitMatrix::build(ctx.engine, &representative, candidates);
         let chosen = self.ilp.select(&matrix, ctx.budget);
-        E::Design::from_structures(
-            chosen
-                .into_iter()
-                .map(|c| matrix.candidates[c].clone())
-                .collect(),
-        )
-    }
-}
-
-// ------------------------------------------ GreedyLocalSearchDesigner --
-
-/// The greedy variant of [`OptimalLocalSearchDesigner`] the paper's
-/// technical report describes: same neighborhood-union representative
-/// workload, but greedy benefit/price selection instead of the exact ILP.
-pub struct GreedyLocalSearchDesigner<G, M> {
-    generator: G,
-    metric: M,
-    /// Perturbed workloads sampled per window.
-    pub n_samples: usize,
-    /// Γ policy for the sampling radius.
-    pub gamma: GammaPolicy,
-    seed: u64,
-}
-
-impl<G, M> GreedyLocalSearchDesigner<G, M> {
-    /// Creates the baseline.
-    pub fn new(generator: G, metric: M, gamma: GammaPolicy, seed: u64) -> Self {
-        Self {
-            generator,
-            metric,
-            n_samples: 20,
-            gamma,
-            seed,
-        }
-    }
-}
-
-impl<E, G, M> DesignStrategy<E> for GreedyLocalSearchDesigner<G, M>
-where
-    E: PlanningEngine,
-    G: CandidateGen<E>,
-    M: WorkloadDistance + Copy,
-    <E::Design as PhysicalDesign>::Structure: Clone,
-{
-    fn name(&self) -> String {
-        "GreedyLocalSearchDesigner".into()
-    }
-
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design {
-        let gamma = self.gamma.resolve(ctx.past_deltas);
-        let mut sampler = NeighborhoodSampler::new(
-            self.metric,
-            ctx.pool.to_vec(),
-            self.seed ^ ctx.window_index as u64,
-        );
-        let neighborhood = sampler.sample_neighborhood(ctx.current, gamma, self.n_samples);
-        let mut representative = ctx.current.clone();
-        for w in &neighborhood {
-            representative.merge_scaled(w, 1.0 / self.n_samples.max(1) as f64);
-        }
-        let candidates = self.generator.candidates(ctx.engine, &representative);
-        let matrix = BenefitMatrix::build(ctx.engine, &representative, candidates);
-        let chosen = matrix.greedy_select(ctx.budget);
         E::Design::from_structures(
             chosen
                 .into_iter()
@@ -343,14 +291,14 @@ impl<'d, D, M> CliffGuardStrategy<'d, D, M> {
 impl<E, D, M> DesignStrategy<E> for CliffGuardStrategy<'_, D, M>
 where
     E: PlanningEngine,
-    D: NominalDesigner<E>,
-    M: WorkloadDistance + Copy,
+    D: NominalDesigner<E> + Sync,
+    M: WorkloadDistance + Copy + Sync,
 {
     fn name(&self) -> String {
         "CliffGuard".into()
     }
 
-    fn design(&mut self, ctx: &WindowCtx<'_, E>) -> E::Design {
+    fn design(&self, ctx: &WindowCtx<'_, E>) -> E::Design {
         let mut cfg = self.config.clone();
         cfg.gamma = self.gamma.resolve(ctx.past_deltas);
         cfg.seed ^= ctx.window_index as u64;
@@ -426,7 +374,7 @@ mod tests {
             window_index: 1,
         };
 
-        let mut strategies: Vec<Box<dyn DesignStrategy<ColumnarEngine>>> = vec![
+        let strategies: Vec<Box<dyn DesignStrategy<ColumnarEngine>>> = vec![
             Box::new(NoDesign),
             Box::new(ExistingDesigner::new(&nominal)),
             Box::new(FutureKnowingDesigner::new(&nominal)),
@@ -442,12 +390,6 @@ mod tests {
                 GammaPolicy::AvgPastDeltas,
                 1,
             )),
-            Box::new(GreedyLocalSearchDesigner::new(
-                ColumnarCandidates,
-                metric,
-                GammaPolicy::AvgPastDeltas,
-                1,
-            )),
             Box::new(CliffGuardStrategy::new(
                 &nominal,
                 metric,
@@ -455,7 +397,7 @@ mod tests {
                 1,
             )),
         ];
-        for s in &mut strategies {
+        for s in &strategies {
             let d = s.design(&ctx);
             assert!(
                 d.price_bytes(engine.catalog()) <= budget,
@@ -477,7 +419,7 @@ mod tests {
             budget: 1 << 30,
             window_index: 0,
         };
-        let d = <NoDesign as DesignStrategy<ColumnarEngine>>::design(&mut NoDesign, &ctx);
+        let d = <NoDesign as DesignStrategy<ColumnarEngine>>::design(&NoDesign, &ctx);
         assert!(d.is_empty());
     }
 

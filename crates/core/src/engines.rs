@@ -31,36 +31,30 @@ pub trait EngineExt: Engine {
         self.ideal_latency_ms(q) * factor <= self.bare_latency_ms(q)
     }
 
-    /// [`Engine::workload_cost`] with per-query latencies computed on
-    /// worker threads.
-    ///
-    /// Latencies come back in workload order and the total/max fold runs
-    /// serially in that same order, so the result is **bit-identical** to
-    /// the serial `workload_cost` at any thread count. Used by the
+    /// [`Engine::workload_cost`], with every entry's cost-model call timed
+    /// into `cliffguard.sim.query_cost_ms` while metrics are on (metrics
+    /// only, no trace events). The fold is the same serial, in-order one,
+    /// so the result is **bit-identical** to `workload_cost`. Used by the
     /// windowed evaluation protocol, whose test windows are the largest
     /// single workloads the system costs.
-    ///
-    /// With metrics on, every entry's cost-model call is timed into
-    /// `cliffguard.sim.query_cost_ms` (metrics only, no trace events).
-    fn par_workload_cost(&self, w: &Workload, d: &Self::Design) -> WorkloadCost {
+    fn timed_workload_cost(&self, w: &Workload, d: &Self::Design) -> WorkloadCost {
         if w.is_empty() {
             return WorkloadCost::zero();
         }
-        let entries: Vec<_> = w.iter().collect();
         let timer = cliffguard_telemetry::histogram("cliffguard.sim.query_cost_ms");
-        let latencies = cliffguard_parallel::par_map(&entries, |(q, _)| match &timer {
-            Some(h) => {
-                let t0 = std::time::Instant::now();
-                let l = self.query_latency_ms(q, d);
-                h.record(cliffguard_telemetry::elapsed_ms(t0));
-                l
-            }
-            None => self.query_latency_ms(q, d),
-        });
         let mut total = 0.0;
         let mut max: f64 = 0.0;
         let mut weight = 0.0;
-        for ((_, wt), l) in entries.iter().zip(latencies) {
+        for (q, wt) in w.iter() {
+            let l = match &timer {
+                Some(h) => {
+                    let t0 = std::time::Instant::now();
+                    let l = self.query_latency_ms(q, d);
+                    h.record(cliffguard_telemetry::elapsed_ms(t0));
+                    l
+                }
+                None => self.query_latency_ms(q, d),
+            };
             total += l * wt;
             weight += wt;
             max = max.max(l);
@@ -133,7 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn par_workload_cost_is_bit_identical_to_serial() {
+    fn timed_workload_cost_is_bit_identical_to_workload_cost() {
         let e = ColumnarEngine::new(catalog());
         let w = Workload::from_queries((0..40u32).map(|i| {
             (
@@ -146,18 +140,18 @@ mod tests {
         }));
         let d = e.ideal_design_for(w.queries().next().unwrap());
         let serial = e.workload_cost(&w, &d);
-        let parallel = e.par_workload_cost(&w, &d);
-        assert_eq!(serial.total_ms.to_bits(), parallel.total_ms.to_bits());
-        assert_eq!(serial.avg_ms.to_bits(), parallel.avg_ms.to_bits());
-        assert_eq!(serial.max_ms.to_bits(), parallel.max_ms.to_bits());
+        let timed = e.timed_workload_cost(&w, &d);
+        assert_eq!(serial.total_ms.to_bits(), timed.total_ms.to_bits());
+        assert_eq!(serial.avg_ms.to_bits(), timed.avg_ms.to_bits());
+        assert_eq!(serial.max_ms.to_bits(), timed.max_ms.to_bits());
         assert_eq!(
-            e.par_workload_cost(&Workload::new(), &d),
+            e.timed_workload_cost(&Workload::new(), &d),
             cliffguard_sim::WorkloadCost::zero()
         );
     }
 
     #[test]
-    fn par_workload_cost_times_every_entry() {
+    fn timed_workload_cost_times_every_entry() {
         // The only test in this binary that installs telemetry. Metrics
         // never change a result, but concurrently running tests may add
         // their own samples, hence `>=`.
@@ -177,7 +171,7 @@ mod tests {
             )
         }));
         assert_eq!(w.len(), 12);
-        e.par_workload_cost(&w, &ColumnarDesign::empty());
+        e.timed_workload_cost(&w, &ColumnarDesign::empty());
         let snap = t.registry().unwrap().snapshot();
         let h = snap.histogram("cliffguard.sim.query_cost_ms").unwrap();
         assert!(h.count >= 12, "one timing per entry, got {}", h.count);

@@ -109,21 +109,37 @@ impl<'e, E: EngineExt> DesignableFilter<'e, E> {
 ///
 /// `metric` supplies the inter-window distances exposed to strategies as
 /// `past_deltas` (for Γ policies).
+///
+/// Each window's sampler pool, past-δ prefix and designable test window
+/// are built first, in window order. The windows are then designed and
+/// costed as one [`par_map`](cliffguard_parallel::par_map), one task per
+/// window, and the records come back in window order; a strategy that
+/// [`carries_state`](DesignStrategy::carries_state) is designed window by
+/// window instead. Either way the summary is bit-identical at any thread
+/// count.
 pub fn evaluate_strategy<E, S, M>(
     engine: &E,
-    strategy: &mut S,
+    strategy: &S,
     windows: &[Workload],
     metric: &M,
     opts: &EvalOptions,
 ) -> EvalSummary
 where
     E: EngineExt,
-    S: DesignStrategy<E>,
+    S: DesignStrategy<E> + ?Sized,
     M: WorkloadDistance,
 {
+    /// What window `i`'s design task needs besides the shared inputs.
+    struct Task {
+        i: usize,
+        pool: Vec<Arc<Query>>,
+        n_deltas: usize,
+        test: Workload,
+    }
+
     let mut filter = DesignableFilter::new(engine, opts.designable_factor);
-    let mut records = Vec::new();
     let mut deltas: Vec<f64> = Vec::new();
+    let mut tasks = Vec::new();
 
     // Strategies sample perturbations from *recent* history: queries seen
     // in the last few windows (never the future). A bounded recency window
@@ -141,33 +157,43 @@ where
         if windows[i].is_empty() || test.is_empty() {
             continue;
         }
+        tasks.push(Task {
+            i,
+            pool,
+            n_deltas: deltas.len(),
+            test,
+        });
+    }
+
+    let run = |task: &Task| {
         let ctx = WindowCtx {
             engine,
-            current: &windows[i],
-            future: &windows[i + 1],
-            pool: &pool,
-            past_deltas: &deltas,
+            current: &windows[task.i],
+            future: &windows[task.i + 1],
+            pool: &task.pool,
+            past_deltas: &deltas[..task.n_deltas],
             budget: opts.budget_bytes,
-            window_index: i,
+            window_index: task.i,
         };
         let t0 = Instant::now();
         let design = strategy.design(&ctx);
         let design_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // Strategies are stateful (`&mut`), so windows advance serially;
-        // the per-window test costing — the wide, pure part of this loop —
-        // fans out across threads with a serial in-order reduction that is
-        // bit-identical to `workload_cost`.
-        let cost = engine.par_workload_cost(&test, &design);
-        records.push(WindowRecord {
-            window: i,
+        let cost = engine.timed_workload_cost(&task.test, &design);
+        WindowRecord {
+            window: task.i,
             avg_ms: cost.avg_ms,
             max_ms: cost.max_ms,
             design_wall_ms,
             deployment_ms: engine.deployment_ms(&design),
             price_bytes: design.price_bytes(engine.catalog()),
             structures: design.len(),
-        });
-    }
+        }
+    };
+    let records: Vec<WindowRecord> = if strategy.carries_state() {
+        tasks.iter().map(run).collect()
+    } else {
+        cliffguard_parallel::par_map(&tasks, run)
+    };
 
     let n = records.len().max(1) as f64;
     EvalSummary {
@@ -232,17 +258,17 @@ mod tests {
         };
         let ws = windows();
 
-        let none = evaluate_strategy(&engine, &mut NoDesign, &ws, &metric, &opts);
+        let none = evaluate_strategy(&engine, &NoDesign, &ws, &metric, &opts);
         let exist = evaluate_strategy(
             &engine,
-            &mut ExistingDesigner::new(&nominal),
+            &ExistingDesigner::new(&nominal),
             &ws,
             &metric,
             &opts,
         );
         let oracle = evaluate_strategy(
             &engine,
-            &mut FutureKnowingDesigner::new(&nominal),
+            &FutureKnowingDesigner::new(&nominal),
             &ws,
             &metric,
             &opts,
@@ -290,10 +316,10 @@ mod tests {
             budget_bytes: 1 << 30,
             designable_factor: 3.0,
         };
-        let s = evaluate_strategy(&engine, &mut NoDesign, &[], &metric, &opts);
+        let s = evaluate_strategy(&engine, &NoDesign, &[], &metric, &opts);
         assert!(s.windows.is_empty());
         let one = vec![Workload::from_queries([(query(&[1], 2), 1.0)])];
-        let s = evaluate_strategy(&engine, &mut NoDesign, &one, &metric, &opts);
+        let s = evaluate_strategy(&engine, &NoDesign, &one, &metric, &opts);
         assert!(s.windows.is_empty());
     }
 
@@ -308,7 +334,7 @@ mod tests {
         };
         let s = evaluate_strategy(
             &engine,
-            &mut ExistingDesigner::new(&nominal),
+            &ExistingDesigner::new(&nominal),
             &windows(),
             &metric,
             &opts,

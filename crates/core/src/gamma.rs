@@ -21,11 +21,6 @@ pub enum GammaPolicy {
     /// `k ×` the maximum past inter-window distance (`k > 1` for a safety
     /// margin).
     KMaxPastDeltas(f64),
-    /// Exponentially-weighted forecast of the next delta (the paper
-    /// mentions "more sophisticated techniques (e.g., timeseries
-    /// forecasting)" as an alternative). The parameter is the smoothing
-    /// factor in `(0, 1]`; higher weights recent changes more.
-    ForecastEwma(f64),
 }
 
 impl GammaPolicy {
@@ -37,16 +32,6 @@ impl GammaPolicy {
             GammaPolicy::AvgPastDeltas => mean(past_deltas),
             GammaPolicy::MaxPastDeltas => max(past_deltas),
             GammaPolicy::KMaxPastDeltas(k) => k * max(past_deltas),
-            GammaPolicy::ForecastEwma(a) => {
-                assert!(a > 0.0 && a <= 1.0, "smoothing factor must be in (0,1]");
-                let mut level = 0.0;
-                let mut seen = false;
-                for &d in past_deltas {
-                    level = if seen { a * d + (1.0 - a) * level } else { d };
-                    seen = true;
-                }
-                level
-            }
         }
     }
 }
@@ -123,17 +108,6 @@ mod tests {
     fn empty_history_gives_zero() {
         assert_eq!(GammaPolicy::AvgPastDeltas.resolve(&[]), 0.0);
         assert_eq!(GammaPolicy::MaxPastDeltas.resolve(&[]), 0.0);
-        assert_eq!(GammaPolicy::ForecastEwma(0.5).resolve(&[]), 0.0);
-    }
-
-    #[test]
-    fn ewma_tracks_recent_changes() {
-        let rising = [0.001, 0.002, 0.004];
-        let f = GammaPolicy::ForecastEwma(0.5).resolve(&rising);
-        // 0.001 -> 0.0015 -> 0.00275
-        assert!((f - 0.00275).abs() < 1e-9);
-        // alpha = 1 returns the last delta
-        assert_eq!(GammaPolicy::ForecastEwma(1.0).resolve(&rising), 0.004);
     }
 
     #[test]

@@ -797,10 +797,9 @@ where
 
             // Line 6: the worst neighbors under the current design (top
             // worst_fraction, at least one). The kernel fills one latency
-            // epoch for the design (workers fan out per query, results
-            // land in query order); workload folds then run serially over
-            // dense vectors, and the sort is stable, so the ranking is
-            // independent of the thread count.
+            // epoch for the design, in query order; workload folds then
+            // run serially over dense vectors, and the sort is stable, so
+            // the ranking is deterministic.
             let design_now = &st.design;
             let epoch_now = kernel.epoch(design_now);
             let mut scored: Vec<(usize, f64)> = interned

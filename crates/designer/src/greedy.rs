@@ -70,7 +70,6 @@ impl<S: Clone> BenefitMatrix<S> {
     where
         E: PlanningEngine,
         E::Design: PhysicalDesign<Structure = S>,
-        S: Send + Sync,
     {
         // Compile each distinct query once; every row of the matrix then
         // evaluates the same plans against a single-structure design,
@@ -92,24 +91,24 @@ impl<S: Clone> BenefitMatrix<S> {
         // plan that does not depend on `c` the standalone latency *is* the
         // base latency, bit-for-bit (the `plan_depends_on` soundness
         // contract); copying `base[q]` skips the evaluation without moving
-        // a bit. Candidates are independent, so each row of the matrix is
-        // built on a worker thread; rows come back in candidate order, so
-        // the matrix — and everything greedy selection derives from it —
-        // is identical at any thread count.
-        let lat: Vec<Vec<f64>> = cliffguard_parallel::par_map(&candidates, |c| {
-            let d = E::Design::from_structures(vec![c.clone()]);
-            plans
-                .iter()
-                .zip(&base)
-                .map(|(p, &b)| {
-                    if engine.plan_depends_on(p, c) {
-                        engine.plan_latency_ms(p, &d)
-                    } else {
-                        b
-                    }
-                })
-                .collect()
-        });
+        // a bit.
+        let lat: Vec<Vec<f64>> = candidates
+            .iter()
+            .map(|c| {
+                let d = E::Design::from_structures(vec![c.clone()]);
+                plans
+                    .iter()
+                    .zip(&base)
+                    .map(|(p, &b)| {
+                        if engine.plan_depends_on(p, c) {
+                            engine.plan_latency_ms(p, &d)
+                        } else {
+                            b
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         Self {
             candidates,
             prices,

@@ -11,8 +11,8 @@ use std::hash::{Hash, Hasher};
 /// generically, exactly as the paper describes ("for each structure (e.g.,
 /// index, materialized view, projection) s, …").
 ///
-/// Designs are `Send + Sync` so the robust-design search can cost many
-/// workloads against the same design from worker threads.
+/// Designs are `Send + Sync` so the evaluation harness can design and
+/// cost its windows on worker threads.
 pub trait PhysicalDesign: Clone + Default + Send + Sync {
     /// The unit structure (a projection, an index, a materialized view…).
     type Structure: Clone + Eq + Hash + Send + Sync;
@@ -114,8 +114,7 @@ impl WorkloadCost {
 /// A simulated database engine with a cost-based optimizer.
 ///
 /// Engines are `Sync`: they are immutable cost models shared by
-/// reference across the worker threads of the parallel cost-evaluation
-/// layer.
+/// reference across the worker threads of the evaluation harness.
 pub trait Engine: Sync {
     /// The engine's physical-design type.
     type Design: PhysicalDesign;

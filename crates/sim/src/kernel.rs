@@ -13,7 +13,7 @@
 //!    ([`PlanningEngine::compile_plan`]), hoisting the per-table
 //!    decomposition out of the latency computation.
 //! 3. Per design, one [`DesignEpoch`] materializes the full latency vector
-//!    (`Vec<f64>` indexed by [`QueryId`]) via the chunked parallel map —
+//!    (`Vec<f64>` indexed by [`QueryId`]) in one pass over the plans —
 //!    after which every cost is an array read and `cost(w, d)` a weighted
 //!    dot product.
 //!
@@ -38,11 +38,11 @@
 //!
 //! # Determinism
 //!
-//! `par_map` returns input-ordered results and the per-workload cost fold
-//! visits entries in the source workload's order, so every number the
-//! kernel produces is **bit-identical** to direct `Engine` evaluation at
-//! any thread count (`PlanningEngine`'s compile/evaluate contract supplies
-//! per-query equality; the fold here mirrors `Engine::workload_cost`).
+//! The per-workload cost fold visits entries in the source workload's
+//! order, so every number the kernel produces is **bit-identical** to
+//! direct `Engine` evaluation (`PlanningEngine`'s compile/evaluate
+//! contract supplies per-query equality; the fold here mirrors
+//! `Engine::workload_cost`).
 //!
 //! Telemetry is metrics-only (`cliffguard.sim.kernel.*`): the kernel never
 //! emits trace events, keeping traces byte-identical with and without it.
@@ -230,7 +230,7 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
     /// 1. **memo** — fingerprint hit returns the shared epoch;
     /// 2. **delta** — any memoized base: clone its vector, re-cost only
     ///    the queries depending on a touched structure;
-    /// 3. **full** — fill the whole vector through the parallel map.
+    /// 3. **full** — fill the whole vector, one plan evaluation per query.
     ///
     /// All three sources yield bit-identical vectors (delta by the
     /// dependency-predicate contract), so callers never observe which one
@@ -337,7 +337,11 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
 
     fn build_epoch(&self, fingerprint: u64, d: &E::Design) -> DesignEpoch {
         let t0 = cliffguard_telemetry::metrics_enabled().then(std::time::Instant::now);
-        let lat = cliffguard_parallel::par_map(&self.plans, |p| self.engine.plan_latency_ms(p, d));
+        let lat = self
+            .plans
+            .iter()
+            .map(|p| self.engine.plan_latency_ms(p, d))
+            .collect();
         self.epoch_builds.fetch_add(1, Ordering::Relaxed);
         if let Some(t0) = t0 {
             if let Some(h) = cliffguard_telemetry::histogram("cliffguard.sim.kernel.build_ms") {
@@ -348,9 +352,7 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
     }
 
     /// Clones the base vector and re-costs only the queries whose plans
-    /// depend on a touched structure. `par_map` over the ascending
-    /// dependent-index list keeps results input-ordered, so the spliced
-    /// vector is identical at any thread count.
+    /// depend on a touched structure.
     fn delta_epoch(
         &self,
         fingerprint: u64,
@@ -381,11 +383,8 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
                 })
                 .collect()
         };
-        let recosted = cliffguard_parallel::par_map(&dependent, |&i| {
-            self.engine.plan_latency_ms(&self.plans[i], d)
-        });
-        for (&i, v) in dependent.iter().zip(recosted) {
-            lat[i] = v;
+        for &i in &dependent {
+            lat[i] = self.engine.plan_latency_ms(&self.plans[i], d);
         }
         self.delta_builds.fetch_add(1, Ordering::Relaxed);
         self.recosted_queries

@@ -107,7 +107,7 @@ impl Record {
         line.push_str(&self.fields);
         line.push_str("}}");
         if let Some(shared) = &self.shared {
-            shared.write_line(&line);
+            crate::flight::write_or_capture(shared, &line);
         }
         if let Some(recorder) = &self.recorder {
             recorder.append(&line);
@@ -331,6 +331,43 @@ mod tests {
                 r#"{"t":30,"kind":"event","level":"trace","name":"cliffguard.test.blackbox","fields":{"s":"x"}}"#,
                 r#"{"t":30,"kind":"span","level":"debug","name":"cliffguard.test.blackbox_span","dur_ms":15,"fields":{"ok":true}}"#,
             ]
+        );
+    }
+
+    #[test]
+    fn captures_hold_lines_until_emitted() {
+        let _lock = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = install(TelemetryConfig {
+            trace: Some(TraceSink::Memory),
+            level: Level::Info,
+            clock: TraceClock::shared_ms(|| 3),
+            metrics: false,
+        })
+        .unwrap();
+        let rec = Arc::new(crate::flight::FlightRecorder::new(8));
+        let _r = crate::flight::record_on_thread(&rec);
+        let outer = crate::flight::capture_on_thread();
+        event(Level::Info, "cliffguard.test.a").emit();
+        let inner = crate::flight::capture_on_thread();
+        event(Level::Info, "cliffguard.test.b").emit();
+        let held = inner.finish();
+        event(Level::Info, "cliffguard.test.c").emit();
+        // A dropped capture discards what it held.
+        drop(crate::flight::capture_on_thread());
+        assert!(guard.memory().unwrap().lines().is_empty());
+        // The recorder tees each line when it is built, capture or not.
+        assert_eq!(rec.lines().len(), 3);
+        // The inner capture's lines land in the outer one, after `c`.
+        held.emit();
+        outer.finish().emit();
+        let line = |x: &str| {
+            format!(
+                r#"{{"t":3,"kind":"event","level":"info","name":"cliffguard.test.{x}","fields":{{}}}}"#
+            )
+        };
+        assert_eq!(
+            guard.memory().unwrap().lines(),
+            [line("a"), line("c"), line("b")]
         );
     }
 

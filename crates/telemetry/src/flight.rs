@@ -20,6 +20,10 @@
 //! disabled fast path stays cheap: when no recorder is active anywhere
 //! in the process, instrumentation sites pay one extra relaxed atomic
 //! load and never touch thread-local storage.
+//!
+//! Its per-thread sibling, [`capture_on_thread`], holds back the lines a
+//! thread writes to the subscriber so that work mapped on several threads
+//! can write its trace in input order after the join.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -205,6 +209,86 @@ pub fn freeze_current(reason: &str) -> bool {
             true
         }
         None => false,
+    }
+}
+
+thread_local! {
+    /// The capture buffers open on this thread, innermost last.
+    static CAPTURES: RefCell<Vec<Vec<String>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Holds back every trace line the calling thread writes to the
+/// subscriber until the returned guard is finished; nested captures
+/// shadow (innermost wins).
+///
+/// This is how work mapped on several threads keeps the trace
+/// byte-identical to a serial run: `par_map` captures each item's lines
+/// and, after the join, writes them with [`CapturedLines::emit`] in input
+/// order. Captures only reorder subscriber output; a flight recorder
+/// still tees each line when it is built.
+pub fn capture_on_thread() -> CaptureGuard {
+    CAPTURES.with(|c| c.borrow_mut().push(Vec::new()));
+    CaptureGuard {
+        _not_send: std::marker::PhantomData,
+    }
+}
+
+/// Closes the thread's innermost capture: [`finish`](Self::finish)
+/// returns its lines, a plain drop (say, on a panic) discards them.
+pub struct CaptureGuard {
+    // The guard pops this thread's stack; sending it elsewhere would
+    // pop the wrong one.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl CaptureGuard {
+    /// Closes the capture and returns the lines it held back.
+    pub fn finish(self) -> CapturedLines {
+        let lines = CAPTURES.with(|c| c.borrow_mut().pop()).unwrap_or_default();
+        std::mem::forget(self);
+        CapturedLines(lines)
+    }
+}
+
+impl Drop for CaptureGuard {
+    fn drop(&mut self) {
+        CAPTURES.with(|c| {
+            c.borrow_mut().pop();
+        });
+    }
+}
+
+/// Trace lines held back by a capture, in the order they were built.
+#[derive(Debug)]
+pub struct CapturedLines(Vec<String>);
+
+impl CapturedLines {
+    /// Writes the lines as if the calling thread emitted them now: into
+    /// its innermost capture if one is open, else to the subscriber.
+    pub fn emit(self) {
+        if self.0.is_empty() {
+            return;
+        }
+        if let Some(shared) = crate::current_subscriber() {
+            for line in &self.0 {
+                write_or_capture(&shared, line);
+            }
+        }
+    }
+}
+
+/// Writes one rendered line to `shared`, unless the calling thread has a
+/// capture open, which holds it instead.
+pub(crate) fn write_or_capture(shared: &crate::subscriber::Shared, line: &str) {
+    let held = CAPTURES.with(|c| match c.borrow_mut().last_mut() {
+        Some(buf) => {
+            buf.push(line.to_string());
+            true
+        }
+        None => false,
+    });
+    if !held {
+        shared.write_line(line);
     }
 }
 

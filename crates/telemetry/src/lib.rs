@@ -69,8 +69,8 @@ mod subscriber;
 
 pub use event::{event, EventBuilder, SpanGuard};
 pub use flight::{
-    freeze_current, record_on_thread, FlightDump, FlightRecorder, RecorderGuard,
-    DEFAULT_FLIGHT_CAPACITY,
+    capture_on_thread, freeze_current, record_on_thread, CaptureGuard, CapturedLines, FlightDump,
+    FlightRecorder, RecorderGuard, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use level::Level;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

@@ -34,13 +34,13 @@ fn main() {
     };
     print_run(
         "NoDesign",
-        evaluate_strategy(&engine, &mut NoDesign, &windows, &metric, &opts),
+        evaluate_strategy(&engine, &NoDesign, &windows, &metric, &opts),
     );
     print_run(
         "ExistingDesigner",
         evaluate_strategy(
             &engine,
-            &mut ExistingDesigner::new(&nominal),
+            &ExistingDesigner::new(&nominal),
             &windows,
             &metric,
             &opts,
@@ -50,7 +50,7 @@ fn main() {
         "AdaptiveIndexing",
         evaluate_strategy(
             &engine,
-            &mut AdaptiveIndexingStrategy::<Projection>::new(),
+            &AdaptiveIndexingStrategy::<Projection>::new(),
             &windows,
             &metric,
             &opts,
@@ -60,7 +60,7 @@ fn main() {
         "CliffGuard",
         evaluate_strategy(
             &engine,
-            &mut CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 3),
+            &CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 3),
             &windows,
             &metric,
             &opts,

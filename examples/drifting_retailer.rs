@@ -45,12 +45,11 @@ fn main() {
 
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
 
-    let mut existing = ExistingDesigner::new(&nominal);
-    let mut cliffguard =
-        CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 7);
+    let existing = ExistingDesigner::new(&nominal);
+    let cliffguard = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 7);
 
-    let e = evaluate_strategy(&engine, &mut existing, &windows, &metric, &opts);
-    let c = evaluate_strategy(&engine, &mut cliffguard, &windows, &metric, &opts);
+    let e = evaluate_strategy(&engine, &existing, &windows, &metric, &opts);
+    let c = evaluate_strategy(&engine, &cliffguard, &windows, &metric, &opts);
 
     println!("window |   ExistingDesigner    |      CliffGuard");
     println!("       |  avg ms     max ms    |  avg ms     max ms");

@@ -29,7 +29,7 @@ fn main() {
     // The Γ = 0 end of the sweep is exactly the nominal designer.
     let baseline = evaluate_strategy(
         &engine,
-        &mut ExistingDesigner::new(&nominal),
+        &ExistingDesigner::new(&nominal),
         &windows,
         &metric,
         &opts,
@@ -41,8 +41,8 @@ fn main() {
 
     for factor in [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0] {
         let gamma = typical * factor;
-        let mut s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::Fixed(gamma), 3);
-        let r = evaluate_strategy(&engine, &mut s, &windows, &metric, &opts);
+        let s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::Fixed(gamma), 3);
+        let r = evaluate_strategy(&engine, &s, &windows, &metric, &opts);
         println!(
             "{gamma:<9.5} {:>8.1} {:>10.1}",
             r.mean_avg_ms, r.mean_max_ms

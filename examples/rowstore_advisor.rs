@@ -32,30 +32,18 @@ fn main() {
     let advisor = GreedyDesigner::new(&engine, RowCandidates, "DBMS-X advisor");
 
     let mut rows = Vec::new();
-    let mut none = NoDesign;
+    let none = NoDesign;
+    rows.push(evaluate_strategy(&engine, &none, &windows, &metric, &opts));
+    let existing = ExistingDesigner::new(&advisor);
     rows.push(evaluate_strategy(
-        &engine, &mut none, &windows, &metric, &opts,
+        &engine, &existing, &windows, &metric, &opts,
     ));
-    let mut existing = ExistingDesigner::new(&advisor);
+    let oracle = FutureKnowingDesigner::new(&advisor);
     rows.push(evaluate_strategy(
-        &engine,
-        &mut existing,
-        &windows,
-        &metric,
-        &opts,
+        &engine, &oracle, &windows, &metric, &opts,
     ));
-    let mut oracle = FutureKnowingDesigner::new(&advisor);
-    rows.push(evaluate_strategy(
-        &engine,
-        &mut oracle,
-        &windows,
-        &metric,
-        &opts,
-    ));
-    let mut cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::KMaxPastDeltas(1.5), 5);
-    rows.push(evaluate_strategy(
-        &engine, &mut cg, &windows, &metric, &opts,
-    ));
+    let cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::KMaxPastDeltas(1.5), 5);
+    rows.push(evaluate_strategy(&engine, &cg, &windows, &metric, &opts));
 
     println!("{:<24} {:>10} {:>10}", "strategy", "avg ms", "max ms");
     for r in &rows {

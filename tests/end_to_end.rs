@@ -3,6 +3,8 @@
 
 use cliffguard::core::evaluate::DesignableFilter;
 use cliffguard::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 fn small_r1() -> (SchemaShape, Vec<Workload>) {
     let mut config = WorkloadProfile::R1.config(9).scaled(0.25);
@@ -25,23 +27,23 @@ fn columnar_pipeline_runs_and_orders_strategies() {
     };
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
 
-    let none = evaluate_strategy(&engine, &mut NoDesign, &windows, &metric, &opts);
+    let none = evaluate_strategy(&engine, &NoDesign, &windows, &metric, &opts);
     let exist = evaluate_strategy(
         &engine,
-        &mut ExistingDesigner::new(&nominal),
+        &ExistingDesigner::new(&nominal),
         &windows,
         &metric,
         &opts,
     );
     let oracle = evaluate_strategy(
         &engine,
-        &mut FutureKnowingDesigner::new(&nominal),
+        &FutureKnowingDesigner::new(&nominal),
         &windows,
         &metric,
         &opts,
     );
-    let mut cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 3);
-    let robust = evaluate_strategy(&engine, &mut cg, &windows, &metric, &opts);
+    let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 3);
+    let robust = evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
 
     // Sanity ordering on a drifting workload (paper's Figure 7a shape):
     // the oracle is best, NoDesign is worst, CliffGuard beats Existing.
@@ -75,9 +77,9 @@ fn row_pipeline_runs() {
     };
     let advisor = GreedyDesigner::new(&engine, RowCandidates, "advisor");
 
-    let none = evaluate_strategy(&engine, &mut NoDesign, &windows, &metric, &opts);
-    let mut cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::KMaxPastDeltas(1.5), 3);
-    let robust = evaluate_strategy(&engine, &mut cg, &windows, &metric, &opts);
+    let none = evaluate_strategy(&engine, &NoDesign, &windows, &metric, &opts);
+    let cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::KMaxPastDeltas(1.5), 3);
+    let robust = evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
     assert!(robust.mean_avg_ms < none.mean_avg_ms);
 }
 
@@ -101,10 +103,11 @@ fn generated_queries_survive_sql_round_trip() {
 }
 
 /// Passes every call through to `inner`, keeping each design it returns
-/// with the index of the window it was built for.
+/// under the index of the window it was built for. Windows may be
+/// designed on several threads, so the designs sit behind a lock.
 struct Recording<S> {
     inner: S,
-    designs: Vec<(usize, ColumnarDesign)>,
+    designs: Mutex<BTreeMap<usize, ColumnarDesign>>,
 }
 
 impl<S: DesignStrategy<ColumnarEngine>> DesignStrategy<ColumnarEngine> for Recording<S> {
@@ -112,9 +115,14 @@ impl<S: DesignStrategy<ColumnarEngine>> DesignStrategy<ColumnarEngine> for Recor
         self.inner.name()
     }
 
-    fn design(&mut self, ctx: &WindowCtx<'_, ColumnarEngine>) -> ColumnarDesign {
+    fn carries_state(&self) -> bool {
+        self.inner.carries_state()
+    }
+
+    fn design(&self, ctx: &WindowCtx<'_, ColumnarEngine>) -> ColumnarDesign {
         let design = self.inner.design(ctx);
-        self.designs.push((ctx.window_index, design.clone()));
+        let mut designs = self.designs.lock().unwrap();
+        designs.insert(ctx.window_index, design.clone());
         design
     }
 }
@@ -131,16 +139,17 @@ fn evaluate_rows_equal_direct_costing_of_the_next_window() {
         opts: &EvalOptions,
         strategy: S,
     ) {
-        let mut recording = Recording {
+        let recording = Recording {
             inner: strategy,
-            designs: Vec::new(),
+            designs: Mutex::default(),
         };
-        let r = evaluate_strategy(engine, &mut recording, windows, metric, opts);
+        let r = evaluate_strategy(engine, &recording, windows, metric, opts);
+        let designs = recording.designs.into_inner().unwrap();
         assert!(!r.windows.is_empty(), "{}", r.strategy);
-        assert_eq!(r.windows.len(), recording.designs.len(), "{}", r.strategy);
+        assert_eq!(r.windows.len(), designs.len(), "{}", r.strategy);
         let mut filter = DesignableFilter::new(engine, opts.designable_factor);
-        for (row, (i, design)) in r.windows.iter().zip(&recording.designs) {
-            assert_eq!(row.window, *i, "{}", r.strategy);
+        for (row, (&i, design)) in r.windows.iter().zip(&designs) {
+            assert_eq!(row.window, i, "{}", r.strategy);
             let test = filter.filter_workload(&windows[i + 1]);
             let direct = engine.workload_cost(&test, design);
             assert_eq!(

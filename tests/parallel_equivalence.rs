@@ -1,7 +1,9 @@
-//! The determinism contract of the parallel cost-evaluation layer: every
-//! parallelized path — `CliffGuard::design`, `GreedyDesigner::design`,
-//! `evaluate_strategy` — must produce **byte-identical** results at 1, 2,
-//! and 8 threads.
+//! The determinism contract of the parallel evaluation harness:
+//! `evaluate_strategy` designs the windows of a strategy on several
+//! threads and must produce **byte-identical** results at 1, 2, and 8
+//! threads, for every strategy. `CliffGuard::design` and
+//! `GreedyDesigner::design`, which run inside those window tasks, are held
+//! to the same contract.
 //!
 //! The thread count is process-global, so every test here serializes on
 //! one lock; within a test, the 1-thread result is the baseline and each
@@ -90,45 +92,70 @@ fn evaluate_strategy_is_identical_across_thread_counts() {
     let engine = ColumnarEngine::new(catalog);
     let metric = DeltaEuclidean::new(shape.column_count());
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-    let opts = EvalOptions {
-        budget_bytes: 40 << 30,
-        designable_factor: 3.0,
+    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    let strategy = |k: usize| -> Box<dyn DesignStrategy<ColumnarEngine> + '_> {
+        match k {
+            0 => Box::new(NoDesign),
+            1 => Box::new(ExistingDesigner::new(&nominal)),
+            2 => Box::new(FutureKnowingDesigner::new(&nominal)),
+            3 => Box::new(MajorityVoteDesigner::new(&nominal, metric, gamma, 5)),
+            4 => Box::new(OptimalLocalSearchDesigner::new(
+                ColumnarCandidates,
+                metric,
+                gamma,
+                5,
+            )),
+            5 => Box::new(CliffGuardStrategy::new(&nominal, metric, gamma, 5)),
+            _ => Box::new(AdaptiveIndexingStrategy::<Projection>::new()),
+        }
     };
 
     // (window, avg, max, deployment, price, structures) per record —
     // everything deterministic; design wall-clock is excluded.
     type Row = (usize, u64, u64, u64, u64, usize);
-    let run = |threads: usize| -> Vec<Row> {
-        set_threads(threads);
-        let mut strategy =
-            CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 5);
-        let summary = evaluate_strategy(&engine, &mut strategy, &windows, &metric, &opts);
-        summary
-            .windows
-            .iter()
-            .map(|r| {
-                (
-                    r.window,
-                    r.avg_ms.to_bits(),
-                    r.max_ms.to_bits(),
-                    r.deployment_ms.to_bits(),
-                    r.price_bytes,
-                    r.structures,
-                )
-            })
-            .collect()
-    };
+    for k in 0..7 {
+        // The exact ILP's branch and bound dominates an unoptimized build,
+        // so it runs at a tight budget over the first three windows.
+        let (budget, windows) = match k {
+            4 => (2u64 << 30, &windows[..3]),
+            _ => (40 << 30, &windows[..]),
+        };
+        let opts = EvalOptions {
+            budget_bytes: budget,
+            designable_factor: 3.0,
+        };
+        let run = |threads: usize| -> (String, Vec<Row>) {
+            set_threads(threads);
+            let summary = evaluate_strategy(&engine, &*strategy(k), windows, &metric, &opts);
+            let rows = summary
+                .windows
+                .iter()
+                .map(|r| {
+                    (
+                        r.window,
+                        r.avg_ms.to_bits(),
+                        r.max_ms.to_bits(),
+                        r.deployment_ms.to_bits(),
+                        r.price_bytes,
+                        r.structures,
+                    )
+                })
+                .collect();
+            (summary.strategy, rows)
+        };
 
-    let baseline = run(THREAD_COUNTS[0]);
-    assert!(
-        !baseline.is_empty(),
-        "fixture must evaluate at least one window"
-    );
-    for threads in &THREAD_COUNTS[1..] {
+        let (name, baseline) = run(THREAD_COUNTS[0]);
         assert_eq!(
-            baseline,
-            run(*threads),
-            "evaluation diverged at {threads} threads"
+            baseline.len(),
+            windows.len() - 1,
+            "{name}: fixture must evaluate every window"
         );
+        for threads in &THREAD_COUNTS[1..] {
+            assert_eq!(
+                baseline,
+                run(*threads).1,
+                "{name}: evaluation diverged at {threads} threads"
+            );
+        }
     }
 }

@@ -29,16 +29,16 @@ fn run(profile: WorkloadProfile, seed: u64) -> (EvalSummary, EvalSummary, EvalSu
 
     let exist = evaluate_strategy(
         &engine,
-        &mut ExistingDesigner::new(&nominal),
+        &ExistingDesigner::new(&nominal),
         &windows,
         &metric,
         &opts,
     );
-    let mut cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 13);
-    let robust = evaluate_strategy(&engine, &mut cg, &windows, &metric, &opts);
+    let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 13);
+    let robust = evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
     let oracle = evaluate_strategy(
         &engine,
-        &mut FutureKnowingDesigner::new(&nominal),
+        &FutureKnowingDesigner::new(&nominal),
         &windows,
         &metric,
         &opts,

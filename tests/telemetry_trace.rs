@@ -4,10 +4,9 @@
 //! against the golden schema in `schemas/trace.schema.json`.
 //!
 //! This is the observable half of the determinism contract: trace events
-//! are emitted only from serial session code with virtual-clock
-//! timestamps, while parallel workers record metrics through lock-free
-//! atomics only — so the subscriber sees the same bytes at 1 thread and
-//! at 8.
+//! carry virtual-clock timestamps, and the evaluation windows designed on
+//! worker threads hold their lines back and write them in window order —
+//! so the subscriber sees the same bytes at 1 thread and at 8.
 
 use cliffguard::prelude::*;
 use cliffguard::trace_schema::TraceSchema;
@@ -117,6 +116,48 @@ fn trace_is_byte_identical_across_thread_counts() {
     let t8 = traced_run(SPEC);
     set_threads(saved);
     assert_eq!(t1, t8, "trace must not depend on the thread count");
+}
+
+#[test]
+fn evaluate_trace_is_byte_identical_across_thread_counts() {
+    let _lock = telemetry_lock();
+    let mut config = WorkloadProfile::R1.config(13).scaled(0.2);
+    config.n_windows = 6;
+    let mut generator = DriftingGenerator::new(config.clone());
+    let shape = generator.shape().clone();
+    let windows = generator.generate().windows_days(config.window_days);
+    let engine = ColumnarEngine::new(CatalogGenerator::default().generate(&shape));
+    let metric = DeltaEuclidean::new(shape.column_count());
+    let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
+    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    let opts = EvalOptions {
+        budget_bytes: 40 << 30,
+        designable_factor: 3.0,
+    };
+    // `cliffguard evaluate --virtual-clock`: the trace clock never moves.
+    let clock = SessionClock::virtual_clock();
+    let run = |threads: usize| {
+        set_threads(threads);
+        let c = clock.clone();
+        let guard = trace_to_memory(TraceClock::shared_ms(move || c.now_ms()));
+        let cg = CliffGuardStrategy::new(&nominal, metric, gamma, 7);
+        let mv = MajorityVoteDesigner::new(&nominal, metric, gamma, 7);
+        evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
+        evaluate_strategy(&engine, &mv, &windows, &metric, &opts);
+        guard.memory().expect("memory sink captured").lines()
+    };
+    let saved = current_threads();
+    let serial = run(1);
+    let parallel = [2, 8].map(run);
+    set_threads(saved);
+    let starts = serial
+        .iter()
+        .filter(|l| l.contains("\"cliffguard.core.session.start\""))
+        .count();
+    assert_eq!(starts, windows.len() - 1, "one session per window");
+    for (threads, lines) in [2, 8].into_iter().zip(parallel) {
+        assert_eq!(serial, lines, "trace diverged at {threads} threads");
+    }
 }
 
 fn golden_schema() -> TraceSchema {
