@@ -90,6 +90,7 @@ where
         }
         // Keep the most recently wanted structures within the budget;
         // among equally recent ones, the first seen.
+        #[allow(clippy::disallowed_methods)] // sorts afterwards, on a unique key
         let mut ranked: Vec<(&S2<E>, (usize, u64))> =
             seen.iter().map(|(s, &rank)| (s, rank)).collect();
         ranked.sort_by_key(|&(_, (w, seq))| (std::cmp::Reverse(w), seq));

@@ -10,8 +10,7 @@ use crate::baselines::{DesignStrategy, WindowCtx};
 use crate::engines::EngineExt;
 use cliffguard_distance::WorkloadDistance;
 use cliffguard_sim::PhysicalDesign;
-use cliffguard_workload::{query_pool, Query, QuerySignature, Workload};
-use std::collections::HashMap;
+use cliffguard_workload::{query_pool, Query, QuerySignature, SignatureMap, Workload};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,7 +65,7 @@ pub struct EvalSummary {
 pub struct DesignableFilter<'e, E: EngineExt> {
     engine: &'e E,
     factor: f64,
-    memo: HashMap<QuerySignature, bool>,
+    memo: SignatureMap<bool>,
 }
 
 impl<'e, E: EngineExt> DesignableFilter<'e, E> {
@@ -75,16 +74,21 @@ impl<'e, E: EngineExt> DesignableFilter<'e, E> {
         Self {
             engine,
             factor,
-            memo: HashMap::new(),
+            memo: SignatureMap::default(),
         }
     }
 
     /// Whether a query passes (memoized).
     pub fn passes(&mut self, q: &Query) -> bool {
+        self.passes_signed(q.signature(), q)
+    }
+
+    /// [`passes`](Self::passes) for a query whose signature the caller
+    /// already holds (`q.signature()`).
+    fn passes_signed(&mut self, sig: QuerySignature, q: &Query) -> bool {
         if self.factor <= 1.0 {
             return q.references_columns();
         }
-        let sig = q.signature();
         if let Some(&v) = self.memo.get(&sig) {
             return v;
         }
@@ -96,9 +100,9 @@ impl<'e, E: EngineExt> DesignableFilter<'e, E> {
     /// The designable sub-workload.
     pub fn filter_workload(&mut self, w: &Workload) -> Workload {
         let mut out = Workload::new();
-        for (q, wt) in w.iter() {
-            if self.passes(q) {
-                out.add(Arc::clone(q), wt);
+        for (sig, q, wt) in w.iter_signed() {
+            if self.passes_signed(sig, q) {
+                out.add_signed(sig, Arc::clone(q), wt);
             }
         }
         out

@@ -16,19 +16,24 @@
 //! frequencies, which keeps `ω_q` finite for the α range the backtracking
 //! search visits while preserving the formula's ordering semantics.
 
-use cliffguard_workload::{Query, Workload};
-use std::collections::HashMap;
+use cliffguard_workload::{Query, QuerySignature, SignatureSet, Workload};
 use std::sync::Arc;
 
 /// Builds the moved workload (Algorithm 3).
 ///
 /// * `w0` — the original workload.
 /// * `worst` — the worst-neighbor workloads `Ŵ₁ … Ŵ_m`.
-/// * `cost` — `f(q, D)`: per-query cost under the current design.
+/// * `cost` — `f(q, D)`: per-query cost under the current design, given
+///   the query's signature (`q.signature()`) so the caller can look it up
+///   without hashing the query again.
 /// * `alpha` — the scaling factor (step size analogue), `> 0`.
+///
+/// Each query is hashed once, when its workload stored it: the union,
+/// the weight lookups and the moved workload all reuse that signature,
+/// and `cost` is asked once per distinct query.
 pub fn move_workload<F>(w0: &Workload, worst: &[&Workload], cost: F, alpha: f64) -> Workload
 where
-    F: Fn(&Query) -> f64,
+    F: Fn(QuerySignature, &Query) -> f64,
 {
     assert!(alpha > 0.0, "alpha must be positive");
     // Union of all queries in first-appearance order (W₀ first, then the
@@ -37,40 +42,35 @@ where
     // in workload order, so hash-iteration order here would make the
     // final design's structure order differ run to run (and break the
     // bit-identical checkpoint/resume guarantee).
-    let mut seen: HashMap<_, ()> = HashMap::new();
-    let mut queries: Vec<Arc<Query>> = Vec::new();
-    for (q, _) in w0.iter() {
-        if seen.insert(q.signature(), ()).is_none() {
-            queries.push(Arc::clone(q));
-        }
-    }
-    for w in worst {
-        for (q, _) in w.iter() {
-            if seen.insert(q.signature(), ()).is_none() {
-                queries.push(Arc::clone(q));
+    let mut seen = SignatureSet::default();
+    let mut queries: Vec<(QuerySignature, &Arc<Query>)> = Vec::new();
+    for w in std::iter::once(w0).chain(worst.iter().copied()) {
+        for (sig, q, _) in w.iter_signed() {
+            if seen.insert(sig) {
+                queries.push((sig, q));
             }
         }
     }
+    let costs: Vec<f64> = queries.iter().map(|&(sig, q)| cost(sig, q)).collect();
 
     // Mean cost under D over the union, for normalization.
     let mean_cost = {
-        let total: f64 = queries.iter().map(|q| cost(q)).sum();
+        let total: f64 = costs.iter().sum();
         (total / queries.len().max(1) as f64).max(f64::MIN_POSITIVE)
     };
 
     let m = worst.len().max(1) as f64;
     let mut moved = Workload::new();
-    for q in &queries {
-        let sig = q.signature();
+    for (&(sig, q), &f_q) in queries.iter().zip(&costs) {
         let w0_weight = w0.weight_of_sig(sig);
         // Mean raw weight of q across the worst-neighbors: same mass units
         // as W0's weights, and Γ-proportional by construction (the sampler
         // mixed in `c ∝ λ(Γ)` copies).
         let nu: f64 = worst.iter().map(|w| w.weight_of_sig(sig)).sum::<f64>() / m;
-        let f_hat = cost(q) / mean_cost;
+        let f_hat = f_q / mean_cost;
         let omega = (f_hat * nu).powf(alpha) + w0_weight;
         if omega.is_finite() && omega > 0.0 {
-            moved.add(Arc::clone(q), omega);
+            moved.add_signed(sig, Arc::clone(q), omega);
         }
     }
     moved
@@ -89,7 +89,7 @@ mod tests {
     fn moved_workload_contains_originals_and_neighbors() {
         let w0 = Workload::from_queries([(q(&[1]), 10.0)]);
         let n1 = Workload::from_queries([(q(&[2]), 5.0)]);
-        let moved = move_workload(&w0, &[&n1], |_| 1.0, 1.0);
+        let moved = move_workload(&w0, &[&n1], |_, _| 1.0, 1.0);
         assert!(moved.weight_of(&q(&[1])) >= 10.0);
         assert!(moved.weight_of(&q(&[2])) > 0.0);
         assert_eq!(moved.len(), 2);
@@ -103,7 +103,7 @@ mod tests {
         let moved = move_workload(
             &w0,
             &[&n1],
-            |query| {
+            |_, query| {
                 if query.select.contains(cliffguard_workload::ColumnId(2)) {
                     10.0
                 } else {
@@ -119,7 +119,7 @@ mod tests {
     fn popular_neighbor_queries_weighted_more() {
         let w0 = Workload::from_queries([(q(&[1]), 1.0)]);
         let n1 = Workload::from_queries([(q(&[2]), 9.0), (q(&[3]), 1.0)]);
-        let moved = move_workload(&w0, &[&n1], |_| 1.0, 1.0);
+        let moved = move_workload(&w0, &[&n1], |_, _| 1.0, 1.0);
         assert!(moved.weight_of(&q(&[2])) > moved.weight_of(&q(&[3])));
     }
 
@@ -130,7 +130,7 @@ mod tests {
         // larger alpha shrinks it; check directionality via ordering).
         let w0 = Workload::from_queries([(q(&[1]), 100.0)]);
         let n1 = Workload::from_queries([(q(&[2]), 100.0)]);
-        let costly = |query: &Query| {
+        let costly = |_: QuerySignature, query: &Query| {
             if query.select.contains(cliffguard_workload::ColumnId(2)) {
                 10.0
             } else {
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn no_neighbors_reduces_to_w0_shape() {
         let w0 = Workload::from_queries([(q(&[1]), 3.0), (q(&[2]), 7.0)]);
-        let moved = move_workload(&w0, &[], |_| 1.0, 1.0);
+        let moved = move_workload(&w0, &[], |_, _| 1.0, 1.0);
         assert_eq!(moved.len(), 2);
         assert_eq!(moved.weight_of(&q(&[1])), 3.0);
         assert_eq!(moved.weight_of(&q(&[2])), 7.0);
@@ -157,14 +157,14 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn zero_alpha_rejected() {
         let w0 = Workload::from_queries([(q(&[1]), 1.0)]);
-        let _ = move_workload(&w0, &[], |_| 1.0, 0.0);
+        let _ = move_workload(&w0, &[], |_, _| 1.0, 0.0);
     }
 
     #[test]
     fn weights_stay_finite_for_extreme_alpha() {
         let w0 = Workload::from_queries([(q(&[1]), 1e6)]);
         let n1 = Workload::from_queries([(q(&[2]), 1e6)]);
-        let moved = move_workload(&w0, &[&n1], |_| 1e9, 8.0);
+        let moved = move_workload(&w0, &[&n1], |_, _| 1e9, 8.0);
         for (_, wt) in moved.iter() {
             assert!(wt.is_finite());
         }

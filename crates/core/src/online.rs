@@ -51,9 +51,9 @@ use crate::gamma::GammaPolicy;
 use cliffguard_distance::{window_delta, ClauseMask, WindowVector};
 use cliffguard_resilience::SessionClock;
 use cliffguard_telemetry::{self as telemetry, Level};
-use cliffguard_workload::{query_pool, LogStream, Query, QuerySignature, Workload};
+use cliffguard_workload::{query_pool, LogStream, Query, SignatureSet, Workload};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -562,15 +562,13 @@ impl OnlineAdvisor {
     /// Structural signatures of every query the advisor still retains:
     /// the open window, the δ predecessor, and the redesign pool — the
     /// keep-set for [`compact_stream`](Self::compact_stream).
-    pub fn retained_signatures(&self) -> HashSet<QuerySignature> {
-        let mut keep = HashSet::new();
+    pub fn retained_signatures(&self) -> SignatureSet {
+        let mut keep = SignatureSet::default();
         for w in std::iter::once(&self.open.workload)
             .chain(self.prev.iter())
             .chain(self.history.iter())
         {
-            for q in w.queries() {
-                keep.insert(q.signature());
-            }
+            keep.extend(w.iter_signed().map(|(sig, _, _)| sig));
         }
         keep
     }

@@ -826,7 +826,7 @@ where
             let moved = move_workload(
                 w0,
                 &worst_refs,
-                |q| kernel.query_latency_ms(q, design_now, &epoch_now),
+                |sig, q| kernel.signed_query_latency_ms(sig, q, design_now, &epoch_now),
                 st.alpha,
             );
 
@@ -967,8 +967,8 @@ fn fingerprint(
     mix(cfg.seed);
     mix(budget_bytes);
     mix(w0.len() as u64);
-    for (q, wt) in w0.iter() {
-        mix(q.signature().0);
+    for (sig, _, wt) in w0.iter_signed() {
+        mix(sig.0);
         mix(wt.to_bits());
     }
     mix(pool.len() as u64);

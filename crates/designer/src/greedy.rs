@@ -11,6 +11,7 @@
 use crate::traits::{CandidateGen, NominalDesigner};
 use cliffguard_sim::{PhysicalDesign, PlanningEngine};
 use cliffguard_workload::Workload;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -47,10 +48,17 @@ impl Ord for CelfEntry {
     }
 }
 
-/// Precomputed per-(query, candidate) standalone latencies.
+/// Precomputed per-(query, candidate) standalone latencies, stored
+/// sparsely.
 ///
 /// Shared by the greedy designer and the ILP selector so both optimize the
-/// same objective.
+/// same objective. Candidate `c` keeps a cell only for the queries whose
+/// plans pass the engine's table-mask prefilter and
+/// [`PlanningEngine::plan_depends_on`]; every other query's latency under
+/// `{c}` *is* its base latency, bit for bit (the predicate's soundness
+/// contract). Dropping those cells is exact: the selection state
+/// `current` never rises above `base`, so a skipped cell adds exactly
+/// `+0.0` to a gain and never lowers `current`, and `f64::min` is exact.
 pub struct BenefitMatrix<S> {
     /// The candidate structures.
     pub candidates: Vec<S>,
@@ -59,14 +67,38 @@ pub struct BenefitMatrix<S> {
     /// Per distinct query: raw weight and latency under the empty design.
     weights: Vec<f64>,
     base: Vec<f64>,
-    /// `lat[c][q]`: latency of query `q` under the design `{candidate c}`.
-    lat: Vec<Vec<f64>>,
+    /// Candidate `c`'s cells are `cells[rows[c]..rows[c + 1]]`:
+    /// `(query, latency under {c})` in ascending query order.
+    rows: Vec<usize>,
+    cells: Vec<(u32, f64)>,
+    /// Per-query latencies reused by [`cost_of_set`](Self::cost_of_set).
+    scratch: RefCell<Vec<f64>>,
 }
 
 impl<S: Clone> BenefitMatrix<S> {
     /// Builds the matrix: one plan compilation per query, one plan
-    /// evaluation per (query, candidate).
+    /// evaluation per (query, candidate) cell the dependency predicate
+    /// keeps.
     pub fn build<E>(engine: &E, w: &Workload, candidates: Vec<S>) -> Self
+    where
+        E: PlanningEngine,
+        E::Design: PhysicalDesign<Structure = S>,
+    {
+        Self::build_cells(engine, w, candidates, true)
+    }
+
+    /// [`build`](Self::build) without the dependency predicate: every
+    /// (query, candidate) cell is evaluated and kept. The reference the
+    /// pruned matrix is tested against.
+    pub fn build_unpruned<E>(engine: &E, w: &Workload, candidates: Vec<S>) -> Self
+    where
+        E: PlanningEngine,
+        E::Design: PhysicalDesign<Structure = S>,
+    {
+        Self::build_cells(engine, w, candidates, false)
+    }
+
+    fn build_cells<E>(engine: &E, w: &Workload, candidates: Vec<S>, prune: bool) -> Self
     where
         E: PlanningEngine,
         E::Design: PhysicalDesign<Structure = S>,
@@ -76,6 +108,7 @@ impl<S: Clone> BenefitMatrix<S> {
         // skipping the per-call decomposition entirely.
         let weights: Vec<f64> = w.iter().map(|(_, wt)| wt).collect();
         let plans: Vec<E::Plan> = w.iter().map(|(q, _)| engine.compile_plan(q)).collect();
+        let masks: Vec<u64> = plans.iter().map(|p| engine.plan_tables_mask(p)).collect();
         let empty = E::Design::default();
         let base: Vec<f64> = plans
             .iter()
@@ -85,36 +118,44 @@ impl<S: Clone> BenefitMatrix<S> {
             .iter()
             .map(|c| E::Design::structure_price(c, engine.catalog()))
             .collect();
-        // The designer's hot loop: one plan evaluation per
-        // (candidate, query) pair — minus the pairs the dependency
-        // predicate rules out. `{c}` and `{}` differ only in `c`, so for a
-        // plan that does not depend on `c` the standalone latency *is* the
-        // base latency, bit-for-bit (the `plan_depends_on` soundness
-        // contract); copying `base[q]` skips the evaluation without moving
-        // a bit.
-        let lat: Vec<Vec<f64>> = candidates
-            .iter()
-            .map(|c| {
-                let d = E::Design::from_structures(vec![c.clone()]);
-                plans
-                    .iter()
-                    .zip(&base)
-                    .map(|(p, &b)| {
-                        if engine.plan_depends_on(p, c) {
-                            engine.plan_latency_ms(p, &d)
-                        } else {
-                            b
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        // The designer's hot loop: one plan evaluation per kept
+        // (candidate, query) pair. One AND against the plan's table mask
+        // rules out plans on other tables before the predicate walks the
+        // plan; both over-approximate, so the kept set is the predicate's.
+        let n = u32::try_from(plans.len()).expect("more than u32::MAX queries");
+        let mut rows = Vec::with_capacity(candidates.len() + 1);
+        rows.push(0);
+        let mut cells = Vec::new();
+        for c in &candidates {
+            let d = E::Design::from_structures(vec![c.clone()]);
+            let c_mask = engine.structure_tables_mask(c);
+            for (q, (p, &mask)) in (0..n).zip(plans.iter().zip(&masks)) {
+                if !prune || (mask & c_mask != 0 && engine.plan_depends_on(p, c)) {
+                    cells.push((q, engine.plan_latency_ms(p, &d)));
+                }
+            }
+            rows.push(cells.len());
+        }
+        Self::from_cells(candidates, prices, weights, base, rows, cells)
+    }
+
+    fn from_cells(
+        candidates: Vec<S>,
+        prices: Vec<u64>,
+        weights: Vec<f64>,
+        base: Vec<f64>,
+        rows: Vec<usize>,
+        cells: Vec<(u32, f64)>,
+    ) -> Self {
+        let n = base.len();
         Self {
             candidates,
             prices,
             weights,
             base,
-            lat,
+            rows,
+            cells,
+            scratch: RefCell::new(Vec::with_capacity(n)),
         }
     }
 
@@ -128,30 +169,63 @@ impl<S: Clone> BenefitMatrix<S> {
         self.candidates.is_empty()
     }
 
+    /// Candidate `c`'s stored cells, in ascending query order.
+    fn row(&self, c: usize) -> &[(u32, f64)] {
+        &self.cells[self.rows[c]..self.rows[c + 1]]
+    }
+
+    /// Number of stored (query, candidate) cells.
+    pub fn cell_count(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Latency of query `q` (in workload entry order) under the design
+    /// `{candidate c}`: its stored cell, or the base latency.
+    pub fn latency(&self, c: usize, q: usize) -> f64 {
+        let row = self.row(c);
+        match row.binary_search_by_key(&(q as u32), |&(cq, _)| cq) {
+            Ok(i) => row[i].1,
+            Err(_) => self.base[q],
+        }
+    }
+
     /// Weighted total latency of the workload when each query picks its
     /// best structure from `chosen` (or the base design).
     pub fn cost_of_set(&self, chosen: &[usize]) -> f64 {
+        let mut best = self.scratch.borrow_mut();
+        best.clear();
+        best.extend_from_slice(&self.base);
+        for &c in chosen {
+            for &(q, lat) in self.row(c) {
+                let b = &mut best[q as usize];
+                *b = b.min(lat);
+            }
+        }
         self.weights
             .iter()
-            .enumerate()
-            .map(|(q, wt)| {
-                let best = chosen
-                    .iter()
-                    .map(|&c| self.lat[c][q])
-                    .fold(self.base[q], f64::min);
-                wt * best
-            })
+            .zip(best.iter())
+            .map(|(wt, b)| wt * b)
             .sum()
     }
 
     /// Marginal gain (total weighted ms saved) of adding candidate `c` when
-    /// queries currently run at `current` latencies.
+    /// queries currently run at `current` latencies. Only `c`'s cells can
+    /// contribute; the sum starts at `+0.0`, as a dense sum over at least
+    /// one query does.
     fn gain(&self, current: &[f64], c: usize) -> f64 {
-        self.weights
-            .iter()
-            .enumerate()
-            .map(|(q, wt)| wt * (current[q] - self.lat[c][q]).max(0.0))
-            .sum()
+        self.row(c).iter().fold(0.0, |acc, &(q, lat)| {
+            let q = q as usize;
+            acc + self.weights[q] * (current[q] - lat).max(0.0)
+        })
+    }
+
+    /// Lowers `current` to candidate `c`'s latencies where they are
+    /// smaller.
+    fn apply(&self, current: &mut [f64], c: usize) {
+        for &(q, lat) in self.row(c) {
+            let cur = &mut current[q as usize];
+            *cur = cur.min(lat);
+        }
     }
 
     /// Standalone gain of a candidate against the base design.
@@ -218,9 +292,7 @@ impl<S: Clone> BenefitMatrix<S> {
             // sits at or below its (stale) bound, hence at or below this
             // one. Select it.
             remaining -= self.prices[c];
-            for (q, cur) in current.iter_mut().enumerate() {
-                *cur = cur.min(self.lat[c][q]);
-            }
+            self.apply(&mut current, c);
             chosen.push(c);
         }
         if reevaluations > 0 {
@@ -261,9 +333,7 @@ impl<S: Clone> BenefitMatrix<S> {
             let Some((c, _)) = best else { break };
             taken[c] = true;
             remaining -= self.prices[c];
-            for (q, cur) in current.iter_mut().enumerate() {
-                *cur = cur.min(self.lat[c][q]);
-            }
+            self.apply(&mut current, c);
             chosen.push(c);
         }
         chosen
@@ -446,8 +516,9 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random matrix for exercising selection alone
-    /// (no engine involved; fields are crate-visible).
+    /// Deterministic pseudo-random sparse matrix for exercising selection
+    /// alone (no engine involved). About a third
+    /// of the (candidate, query) pairs hold no cell, i.e. the base latency.
     fn random_matrix(seed: u64, n_cand: usize, n_query: usize) -> BenefitMatrix<usize> {
         // SplitMix64 stream — self-contained, reproducible.
         let mut state = seed;
@@ -460,21 +531,26 @@ mod tests {
         };
         let unit = |v: u64| (v >> 11) as f64 / (1u64 << 53) as f64;
         let base: Vec<f64> = (0..n_query).map(|_| 100.0 + 900.0 * unit(next())).collect();
-        let lat: Vec<Vec<f64>> = (0..n_cand)
-            .map(|_| {
-                (0..n_query)
+        let mut rows = vec![0];
+        let mut cells = Vec::new();
+        for _ in 0..n_cand {
+            for (q, &b) in base.iter().enumerate() {
+                let v = next();
+                if v % 3 != 0 {
                     // Sometimes better than base, sometimes worse.
-                    .map(|q| base[q] * (0.05 + 1.4 * unit(next())))
-                    .collect()
-            })
-            .collect();
-        BenefitMatrix {
-            candidates: (0..n_cand).collect(),
-            prices: (0..n_cand).map(|_| 1 + next() % 1000).collect(),
-            weights: (0..n_query).map(|_| 1.0 + 9.0 * unit(next())).collect(),
-            base,
-            lat,
+                    cells.push((q as u32, b * (0.05 + 1.4 * unit(v))));
+                }
+            }
+            rows.push(cells.len());
         }
+        BenefitMatrix::from_cells(
+            (0..n_cand).collect(),
+            (0..n_cand).map(|_| 1 + next() % 1000).collect(),
+            (0..n_query).map(|_| 1.0 + 9.0 * unit(next())).collect(),
+            base,
+            rows,
+            cells,
+        )
     }
 
     #[test]

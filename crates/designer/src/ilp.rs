@@ -37,12 +37,13 @@ impl IlpSelector {
     /// candidate indices (into the matrix).
     pub fn select<S: Clone>(&self, m: &BenefitMatrix<S>, budget_bytes: u64) -> Vec<usize> {
         // Prune to the most promising candidates, ordered by gain density.
+        let gains: Vec<f64> = (0..m.len()).map(|c| m.standalone_gain(c)).collect();
         let mut order: Vec<usize> = (0..m.len())
-            .filter(|&c| m.standalone_gain(c) > 0.0 && m.prices[c] <= budget_bytes)
+            .filter(|&c| gains[c] > 0.0 && m.prices[c] <= budget_bytes)
             .collect();
         order.sort_by(|&a, &b| {
-            let da = m.standalone_gain(a) / m.prices[a].max(1) as f64;
-            let db = m.standalone_gain(b) / m.prices[b].max(1) as f64;
+            let da = gains[a] / m.prices[a].max(1) as f64;
+            let db = gains[b] / m.prices[b].max(1) as f64;
             db.total_cmp(&da)
         });
         order.truncate(self.max_candidates);
@@ -51,7 +52,7 @@ impl IlpSelector {
         }
 
         let base_cost = m.cost_of_set(&[]);
-        let standalone: Vec<f64> = order.iter().map(|&c| m.standalone_gain(c)).collect();
+        let standalone: Vec<f64> = order.iter().map(|&c| gains[c]).collect();
 
         struct Search<'a, S> {
             m: &'a BenefitMatrix<S>,

@@ -253,7 +253,7 @@ impl<'a> Draws<'a> {
     fn mix(&self, subset: &[usize], c: f64) -> Workload {
         let mut w1 = self.w0.clone();
         for &i in subset {
-            w1.add(Arc::clone(&self.fresh[i]), c);
+            w1.add_signed(self.sigs[i], Arc::clone(&self.fresh[i]), c);
         }
         w1
     }

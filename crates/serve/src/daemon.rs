@@ -29,7 +29,14 @@
 //! * queue occupancy changes only at admissions and barriers — both
 //!   tape-driven — so a "queue full" rejection is deterministic;
 //! * each session runs on its own fresh virtual clock and seeded sampler,
-//!   so concurrent tenants cannot perturb each other's descents.
+//!   so concurrent tenants cannot perturb each other's descents;
+//! * a session's trace lines are held back on its worker
+//!   ([`capture_on_thread`](cliffguard_telemetry::capture_on_thread)) and
+//!   written at the barrier, in `seq` order, just before its
+//!   `cliffguard.serve.session.end`, so they never interleave with the
+//!   lines the intake thread writes meanwhile (ingest frames, say). A
+//!   session that panics writes none; its lines survive only in its
+//!   flight dump, since the recorder tees each line when it is built.
 //!
 //! # Recovery
 //!
@@ -53,7 +60,8 @@ use crate::store::CheckpointStore;
 use crate::tenant::TenantRegistry;
 use cliffguard_resilience::SessionClock;
 use cliffguard_telemetry::{
-    self as telemetry, render_prometheus, FlightRecorder, Level, DEFAULT_FLIGHT_CAPACITY,
+    self as telemetry, render_prometheus, CapturedLines, FlightRecorder, Level,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use serde::Value;
 use std::collections::HashMap;
@@ -207,7 +215,8 @@ fn read_frame<R: BufRead>(input: &mut R) -> io::Result<Frame> {
 pub struct Daemon {
     config: ServeConfig,
     store: Option<CheckpointStore>,
-    pool: WorkerPool<RunOutcome>,
+    /// Each session's outcome and the trace lines it held back.
+    pool: WorkerPool<(RunOutcome, CapturedLines)>,
     tenants: TenantRegistry,
     in_flight: Vec<InFlight>,
     /// Per-tenant streaming ingest sessions, keyed by tenant. Handled
@@ -344,6 +353,8 @@ impl Daemon {
                 // Every session runs on its own clock, started when a
                 // worker picks the session up.
                 opts.clock = session_clock(virtual_time);
+                // The drain barrier writes these lines in seq order.
+                let capture = telemetry::capture_on_thread();
                 // The inner catch exists only to freeze the session's
                 // black box with the panic message; the payload is
                 // re-raised so the pool still reports the panic as
@@ -356,8 +367,10 @@ impl Daemon {
                     })
                 }));
                 match result {
-                    Ok(outcome) => outcome,
+                    Ok(outcome) => (outcome, capture.finish()),
                     Err(payload) => {
+                        // Dropping the capture discards its lines.
+                        drop(capture);
                         recorder.freeze(&format!(
                             "worker panic: {}",
                             panic_message(payload.as_ref())
@@ -370,9 +383,9 @@ impl Daemon {
     }
 
     /// Drain barrier: waits for every in-flight session in admission
-    /// order, emits its response (interrupted sessions emit none), and
-    /// frees all queue slots. Returns the number of design responses
-    /// emitted.
+    /// order, writes the trace lines it held back, emits its response
+    /// (interrupted sessions emit none), and frees all queue slots.
+    /// Returns the number of design responses emitted.
     ///
     /// A broken writer (a TCP client that disconnected mid-drain) must
     /// not abort the barrier: every session still completes, persists its
@@ -389,28 +402,32 @@ impl Daemon {
                 resumed,
                 recorder,
             } = flight;
-            let (status, reason, report) = match self.pool.wait(seq) {
-                Ok(RunOutcome::Done(run)) => {
+            let (status, reason, report, lines) = match self.pool.wait(seq) {
+                Ok((RunOutcome::Done(run), lines)) => {
                     let report = run.report();
                     match report.degraded.clone() {
-                        Some(r) => (DesignStatus::Degraded, Some(r), Some(report)),
-                        None => (DesignStatus::Done, None, Some(report)),
+                        Some(r) => (DesignStatus::Degraded, Some(r), Some(report), Some(lines)),
+                        None => (DesignStatus::Done, None, Some(report), Some(lines)),
                     }
                 }
-                Ok(RunOutcome::Rejected(reason)) => (DesignStatus::Rejected, Some(reason), None),
-                Ok(RunOutcome::Interrupted(ckpt)) => {
+                Ok((RunOutcome::Rejected(reason), lines)) => {
+                    (DesignStatus::Rejected, Some(reason), None, Some(lines))
+                }
+                Ok((RunOutcome::Interrupted(ckpt), lines)) => {
                     // The session checkpointed under a stop/kill: persist
                     // the final checkpoint and leave it pending — the
                     // restarted daemon owes the tenant this response.
                     if let Some(store) = &self.store {
                         let _ = store.save_checkpoint(&tenant, seq, &ckpt);
                     }
+                    lines.emit();
                     self.tenants.record_outcome(&tenant, "interrupted", None);
                     continue;
                 }
                 Err(panic_msg) => (
                     DesignStatus::Rejected,
                     Some(format!("internal error: {panic_msg}")),
+                    None,
                     None,
                 ),
             };
@@ -459,6 +476,9 @@ impl Daemon {
             self.tenants.record_outcome(&tenant, outcome, fingerprint);
             if status != DesignStatus::Rejected {
                 self.completed += 1;
+            }
+            if let Some(lines) = lines {
+                lines.emit();
             }
             telemetry::event(Level::Info, "cliffguard.serve.session.end")
                 .u64("seq", seq)

@@ -5,9 +5,11 @@
 //! administrator ("The final (robust) design is then sent back to the
 //! administrator, who may decide to deploy it in the DBMS", Section 2).
 //! The projection syntax follows the paper's own Section 3 sketch.
+//! [`columnar_script`] renders a whole columnar design, the script
+//! `cliffguard design` prints; row-store structures render one at a time.
 
 use crate::columnar::{ColumnarDesign, Projection};
-use crate::row::{Index, MatView, RowDesign};
+use crate::row::{Index, MatView};
 use cliffguard_storage::Catalog;
 use std::fmt::Write as _;
 
@@ -89,32 +91,10 @@ pub fn columnar_script(d: &ColumnarDesign, catalog: &Catalog) -> String {
     out
 }
 
-/// Full deployment script for a row-store design.
-pub fn row_script(d: &RowDesign, catalog: &Catalog) -> String {
-    let mut out = String::new();
-    for (i, idx) in d.indexes.iter().enumerate() {
-        let table = &catalog.table(idx.table).name;
-        let _ = writeln!(
-            out,
-            "{}",
-            index_ddl(idx, catalog, &format!("{table}_idx_{i}"))
-        );
-    }
-    for (i, v) in d.views.iter().enumerate() {
-        let table = &catalog.table(v.table).name;
-        let _ = writeln!(
-            out,
-            "{}",
-            matview_ddl(v, catalog, &format!("{table}_mv_{i}"))
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PhysicalDesign, RowStructure};
+    use crate::PhysicalDesign;
     use cliffguard_storage::{ColumnDef, ColumnStats, TableDef};
     use cliffguard_workload::{ColumnId, ColumnSet, TableId};
 
@@ -188,17 +168,5 @@ mod tests {
         ]);
         let s = columnar_script(&cd, &cat);
         assert_eq!(s.matches("CREATE PROJECTION").count(), 2);
-
-        let rd = RowDesign::from_structures(vec![
-            RowStructure::Index(Index::new(TableId(0), vec![ColumnId(1)])),
-            RowStructure::MatView(MatView::new(
-                TableId(0),
-                ColumnSet::from_ids(&[1, 2]),
-                ColumnSet::from_ids(&[1]),
-            )),
-        ]);
-        let s = row_script(&rd, &cat);
-        assert_eq!(s.matches("CREATE INDEX").count(), 1);
-        assert_eq!(s.matches("CREATE MATERIALIZED VIEW").count(), 1);
     }
 }

@@ -23,13 +23,15 @@
 //! so rebuilding the whole latency vector per design re-derives mostly
 //! unchanged numbers. On a memo miss with any memoized epoch available,
 //! [`epoch`](CostKernel::epoch) instead **delta-builds**: it picks the
-//! memoized base whose structure multiset is closest to the target's,
-//! clones its latency vector, and re-costs only the queries whose plans
-//! depend on a *touched* structure (the symmetric difference), per the
-//! engine's [`PlanningEngine::plan_depends_on`] predicate. Because that
-//! predicate is a sound over-approximation — `false` guarantees the
-//! structure cannot move the plan's latency by a single bit — a delta
-//! build is bit-identical to a full rebuild by construction. The explicit
+//! memoized base whose structure multiset is closest to the target's
+//! (ranked by a merge of sorted per-structure hashes), clones its latency
+//! vector, and re-costs only the queries whose plans depend on a
+//! *touched* structure (the symmetric difference, by structure
+//! equality), per the engine's [`PlanningEngine::plan_depends_on`]
+//! predicate. Because that predicate is a sound over-approximation —
+//! `false` guarantees the structure cannot move the plan's latency by a
+//! single bit — a delta build is bit-identical to a full rebuild by
+//! construction. The explicit
 //! [`epoch_from`](CostKernel::epoch_from) exposes the same machinery for
 //! tests and benches.
 //!
@@ -47,8 +49,10 @@
 //! Telemetry is metrics-only (`cliffguard.sim.kernel.*`): the kernel never
 //! emits trace events, keeping traces byte-identical with and without it.
 
-use crate::engine::{PhysicalDesign, PlanningEngine, WorkloadCost};
-use cliffguard_workload::{InternedWorkload, Query, QueryId, Workload, WorkloadInterner};
+use crate::engine::{structure_hash, PhysicalDesign, PlanningEngine, WorkloadCost};
+use cliffguard_workload::{
+    InternedWorkload, Query, QueryId, QuerySignature, Workload, WorkloadInterner,
+};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -144,12 +148,18 @@ pub struct KernelStats {
     pub epoch_evictions: u64,
 }
 
+/// The structures of one design, shared between the memo and a delta
+/// build in progress.
+type Structures<E> = Arc<Vec<<<E as crate::Engine>::Design as PhysicalDesign>::Structure>>;
+
 /// One memoized epoch plus the structure multiset it was built for — the
 /// delta path needs the structures to compute touched sets against new
-/// targets.
+/// targets, and their sorted hashes to rank bases without comparing
+/// structures.
 struct MemoEntry<E: PlanningEngine> {
     epoch: Arc<DesignEpoch>,
-    structures: Vec<<E::Design as PhysicalDesign>::Structure>,
+    structures: Structures<E>,
+    hashes: Vec<u64>,
 }
 
 /// The dense cost kernel: interned queries, compiled plans, and per-design
@@ -237,7 +247,7 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
     /// answered.
     pub fn epoch(&self, d: &E::Design) -> Arc<DesignEpoch> {
         let fingerprint = d.fingerprint();
-        let base = {
+        let (structures, hashes, base) = {
             let mut memo = self.memo.lock();
             if let Some(i) = memo.iter().position(|e| e.epoch.fingerprint == fingerprint) {
                 let hit = memo.remove(i);
@@ -246,13 +256,17 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
                 self.epoch_reuses.fetch_add(1, Ordering::Relaxed);
                 return epoch;
             }
-            self.pick_delta_base(&memo, d)
+            // The one copy of the target's structures: the delta build
+            // reads it and the memo keeps it.
+            let structures: Structures<E> = Arc::new(d.structures());
+            let hashes = sorted_hashes::<E>(&structures);
+            let base = pick_delta_base(&memo, &hashes);
+            (structures, hashes, base)
         };
         // Build outside the lock: epoch fills are the kernel's one heavy
         // step and must not serialize against memo probes. The descent
         // loop is sequential at this level, so duplicate concurrent fills
         // do not arise in practice (and would be harmless — pure).
-        let structures = d.structures();
         let epoch = match base {
             Some((base_epoch, base_structures)) => Arc::new(self.delta_epoch(
                 fingerprint,
@@ -263,7 +277,7 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
             )),
             None => Arc::new(self.build_epoch(fingerprint, d)),
         };
-        self.insert_memo(Arc::clone(&epoch), structures);
+        self.insert_memo(Arc::clone(&epoch), structures, hashes);
         epoch
     }
 
@@ -275,7 +289,8 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
     /// result is memoized like any other epoch.
     pub fn epoch_from(&self, base: &E::Design, d: &E::Design) -> Arc<DesignEpoch> {
         let base_epoch = self.epoch(base);
-        let structures = d.structures();
+        let structures: Structures<E> = Arc::new(d.structures());
+        let hashes = sorted_hashes::<E>(&structures);
         let epoch = Arc::new(self.delta_epoch(
             d.fingerprint(),
             d,
@@ -283,44 +298,13 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
             &base.structures(),
             &structures,
         ));
-        self.insert_memo(Arc::clone(&epoch), structures);
+        self.insert_memo(Arc::clone(&epoch), structures, hashes);
         epoch
-    }
-
-    /// The memoized base closest to `d` (smallest touched set), cloned out
-    /// of the lock. Ties break to the earliest (least recently used)
-    /// entry — deterministic because memo order is.
-    #[allow(clippy::type_complexity)]
-    fn pick_delta_base(
-        &self,
-        memo: &[MemoEntry<E>],
-        d: &E::Design,
-    ) -> Option<(
-        Arc<DesignEpoch>,
-        Vec<<E::Design as PhysicalDesign>::Structure>,
-    )> {
-        let target = d.structures();
-        let mut best: Option<(usize, usize)> = None; // (touched count, index)
-        for (i, entry) in memo.iter().enumerate() {
-            let touched = symmetric_difference::<E>(&entry.structures, &target).len();
-            let better = match best {
-                None => true,
-                Some((b, _)) => touched < b,
-            };
-            if better {
-                best = Some((touched, i));
-            }
-        }
-        best.map(|(_, i)| (Arc::clone(&memo[i].epoch), memo[i].structures.clone()))
     }
 
     /// Memoizes an epoch, evicting the least recently used entry under
     /// capacity pressure.
-    fn insert_memo(
-        &self,
-        epoch: Arc<DesignEpoch>,
-        structures: Vec<<E::Design as PhysicalDesign>::Structure>,
-    ) {
+    fn insert_memo(&self, epoch: Arc<DesignEpoch>, structures: Structures<E>, hashes: Vec<u64>) {
         let mut memo = self.memo.lock();
         if memo
             .iter()
@@ -332,7 +316,11 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
             memo.remove(0); // least-recently-used first
             self.epoch_evictions.fetch_add(1, Ordering::Relaxed);
         }
-        memo.push(MemoEntry { epoch, structures });
+        memo.push(MemoEntry {
+            epoch,
+            structures,
+            hashes,
+        });
     }
 
     fn build_epoch(&self, fingerprint: u64, d: &E::Design) -> DesignEpoch {
@@ -419,7 +407,19 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
     /// [`Engine::query_latency_ms`](crate::Engine::query_latency_ms) call
     /// for one-off queries the kernel has never seen.
     pub fn query_latency_ms(&self, q: &Query, d: &E::Design, epoch: &DesignEpoch) -> f64 {
-        match self.interner.id_of(q) {
+        self.signed_query_latency_ms(q.signature(), q, d, epoch)
+    }
+
+    /// [`query_latency_ms`](Self::query_latency_ms) for a caller that
+    /// already holds the query's signature (`q.signature()`).
+    pub fn signed_query_latency_ms(
+        &self,
+        sig: QuerySignature,
+        q: &Query,
+        d: &E::Design,
+        epoch: &DesignEpoch,
+    ) -> f64 {
+        match self.interner.id_of_signature(sig) {
             Some(id) => epoch.latency_ms(id),
             None => self.engine.query_latency_ms(q, d),
         }
@@ -468,6 +468,65 @@ impl<'e, E: PlanningEngine> CostKernel<'e, E> {
                 g.set(v);
             }
         }
+    }
+}
+
+/// The sorted [`structure_hash`]es of a design's structures.
+fn sorted_hashes<E: PlanningEngine>(
+    structures: &[<E::Design as PhysicalDesign>::Structure],
+) -> Vec<u64> {
+    let mut hashes: Vec<u64> = structures.iter().map(structure_hash).collect();
+    hashes.sort_unstable();
+    hashes
+}
+
+/// The memoized base closest to a target with sorted structure hashes
+/// `target` (fewest touched structures), as shared handles. Ties break to
+/// the earliest (least recently used) entry — deterministic because memo
+/// order is.
+///
+/// Ranking reads only hashes, so it costs one merge per entry and clones
+/// nothing. A hash collision can only make it pick a base with a larger
+/// true touched set, which [`CostKernel::delta_epoch`] then computes by
+/// structure equality: a slower delta, never a wrong epoch.
+fn pick_delta_base<E: PlanningEngine>(
+    memo: &[MemoEntry<E>],
+    target: &[u64],
+) -> Option<(Arc<DesignEpoch>, Structures<E>)> {
+    let mut best: Option<(usize, usize)> = None; // (touched count, index)
+    for (i, entry) in memo.iter().enumerate() {
+        let touched = hash_difference(&entry.hashes, target);
+        let better = match best {
+            None => true,
+            Some((b, _)) => touched < b,
+        };
+        if better {
+            best = Some((touched, i));
+        }
+    }
+    best.map(|(_, i)| (Arc::clone(&memo[i].epoch), Arc::clone(&memo[i].structures)))
+}
+
+/// The number of distinct hashes whose multiplicity differs between the
+/// sorted lists `a` and `b`: the size of the touched set
+/// [`symmetric_difference`] would compute, barring hash collisions, in one
+/// merge.
+fn hash_difference(a: &[u64], b: &[u64]) -> usize {
+    let run = |xs: &[u64], h: u64| xs.iter().take_while(|&&x| x == h).count();
+    let (mut i, mut j, mut touched) = (0, 0, 0);
+    loop {
+        let h = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => return touched,
+        };
+        let (ca, cb) = (run(&a[i..], h), run(&b[j..], h));
+        if ca != cb {
+            touched += 1;
+        }
+        i += ca;
+        j += cb;
     }
 }
 
@@ -671,6 +730,34 @@ mod tests {
         let direct = engine.query_latency_ms(&stranger, &d);
         let via_kernel = kernel.query_latency_ms(&stranger, &d, &epoch);
         assert_eq!(direct.to_bits(), via_kernel.to_bits());
+    }
+
+    #[test]
+    fn hash_ranking_counts_the_touched_set() {
+        let p = |cols: &[u32]| Projection::new(TableId(0), ColumnSet::from_ids(cols), vec![]);
+        let pool: Vec<Projection> = (1..7).map(|c| p(&[c, (c + 1) % 8])).collect();
+        // Multisets over the pool, duplicates included, in every pairing.
+        let sets: Vec<Vec<Projection>> = (0u32..64)
+            .map(|mask| {
+                (0..pool.len())
+                    .filter(|&i| mask & (1 << i) != 0)
+                    .flat_map(|i| {
+                        std::iter::repeat(pool[i].clone()).take(1 + (mask as usize + i) % 2)
+                    })
+                    .collect()
+            })
+            .collect();
+        for a in &sets {
+            for b in &sets {
+                assert_eq!(
+                    hash_difference(
+                        &sorted_hashes::<ColumnarEngine>(a),
+                        &sorted_hashes::<ColumnarEngine>(b)
+                    ),
+                    symmetric_difference::<ColumnarEngine>(a, b).len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,12 @@ pub struct Catalog {
     offsets: Vec<u32>,
     #[serde(skip)]
     by_name: HashMap<String, TableId>,
+    /// Per global column id: its table and its position in that table.
+    /// Derived like `by_name`; when it is absent (a deserialized catalog
+    /// before [`rebuild_index`](Self::rebuild_index)), lookups binary-search
+    /// `offsets` instead.
+    #[serde(skip)]
+    slots: Vec<(u32, u32)>,
 }
 
 impl Catalog {
@@ -57,16 +63,14 @@ impl Catalog {
             offsets.push(acc);
             acc += t.columns.len() as u32;
         }
-        let by_name = tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.to_ascii_lowercase(), TableId(i as u32)))
-            .collect();
-        Self {
+        let mut catalog = Self {
             tables,
             offsets,
-            by_name,
-        }
+            by_name: HashMap::new(),
+            slots: Vec::new(),
+        };
+        catalog.rebuild_index();
+        catalog
     }
 
     /// Rebuilds derived lookup state after deserialization.
@@ -76,6 +80,12 @@ impl Catalog {
             .iter()
             .enumerate()
             .map(|(i, t)| (t.name.to_ascii_lowercase(), TableId(i as u32)))
+            .collect();
+        self.slots = self
+            .tables
+            .iter()
+            .enumerate()
+            .flat_map(|(t, def)| (0..def.columns.len() as u32).map(move |k| (t as u32, k)))
             .collect();
     }
 
@@ -106,6 +116,15 @@ impl Catalog {
 
     /// The table owning a global column id.
     pub fn table_of(&self, c: ColumnId) -> TableId {
+        match self.slots.get(c.0 as usize) {
+            Some(&(t, _)) => TableId(t),
+            None => self.table_of_by_search(c),
+        }
+    }
+
+    /// [`table_of`](Self::table_of) by binary search over the tables'
+    /// first column ids.
+    fn table_of_by_search(&self, c: ColumnId) -> TableId {
         let i = match self.offsets.binary_search(&c.0) {
             Ok(i) => i,
             Err(i) => i - 1,
@@ -115,8 +134,14 @@ impl Catalog {
 
     /// Column definition by global id.
     pub fn column(&self, c: ColumnId) -> &ColumnDef {
-        let t = self.table_of(c);
-        &self.tables[t.index()].columns[(c.0 - self.offsets[t.index()]) as usize]
+        let (t, k) = match self.slots.get(c.0 as usize) {
+            Some(&slot) => slot,
+            None => {
+                let t = self.table_of_by_search(c).0;
+                (t, c.0 - self.offsets[t as usize])
+            }
+        };
+        &self.tables[t as usize].columns[k as usize]
     }
 
     /// Global column ids of a table.
@@ -243,6 +268,94 @@ mod tests {
     fn row_width_sums_columns() {
         let c = catalog();
         assert_eq!(c.table(TableId(0)).row_width(), 12);
+    }
+
+    /// Generated catalogs of a few shapes, Zipf columns included.
+    fn generated() -> Vec<Catalog> {
+        use crate::datagen::CatalogGenerator;
+        use cliffguard_workload::generator::SchemaShape;
+        [vec![3], vec![9, 4, 1, 7], vec![12; 12]]
+            .into_iter()
+            .enumerate()
+            .map(|(seed, widths)| {
+                CatalogGenerator {
+                    seed: seed as u64,
+                    ..CatalogGenerator::default()
+                }
+                .generate(&SchemaShape::new(widths))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn array_lookups_match_the_binary_search() {
+        let check = |c: &Catalog| {
+            for id in 0..c.column_count() as u32 {
+                let col = ColumnId(id);
+                let t = c.table_of_by_search(col);
+                assert_eq!(c.table_of(col), t);
+                let k = (id - c.offsets[t.index()]) as usize;
+                assert!(std::ptr::eq(c.column(col), &c.table(t).columns[k]));
+            }
+        };
+        for c in generated() {
+            assert_eq!(c.slots.len(), c.column_count());
+            check(&c);
+            // A serde round trip drops the array: lookups fall back to the
+            // binary search until `rebuild_index` restores it.
+            let mut back = Catalog::from_value(&c.to_value()).expect("catalog round-trips");
+            assert!(back.slots.is_empty());
+            check(&back);
+            back.rebuild_index();
+            assert_eq!(back.slots, c.slots);
+            check(&back);
+        }
+    }
+
+    /// The selectivity rule as written before the Zipf memo: every call
+    /// sums the terms again.
+    fn uncached_selectivity(stats: &ColumnStats, op: PredOp) -> f64 {
+        let ndv = stats.ndv as f64;
+        let eq = match stats.distribution {
+            crate::stats::Distribution::Uniform => 1.0 / ndv,
+            crate::stats::Distribution::Zipf(theta) => {
+                let n = stats.ndv.min(1024);
+                let h: f64 = (1..=n).map(|i| (i as f64).powf(-theta)).sum();
+                let sq: f64 = (1..=n).map(|i| (i as f64).powf(-2.0 * theta)).sum();
+                (sq / (h * h)).clamp(1.0 / ndv, 1.0)
+            }
+        };
+        match op {
+            PredOp::Eq => eq.clamp(1e-9, 1.0),
+            PredOp::Range => 0.2,
+            PredOp::In => (5.0 * eq).clamp(1e-9, 1.0),
+            PredOp::Like => 0.1,
+        }
+    }
+
+    #[test]
+    fn zipf_memo_matches_the_uncached_rule_bit_for_bit() {
+        let mut zipf = 0;
+        for c in generated() {
+            for id in 0..c.column_count() as u32 {
+                let stats = &c.column(ColumnId(id)).stats;
+                zipf += usize::from(matches!(
+                    stats.distribution,
+                    crate::stats::Distribution::Zipf(_)
+                ));
+                // The first call may fill the memo, the second reads it.
+                for _ in 0..2 {
+                    for op in [PredOp::Eq, PredOp::Range, PredOp::Like, PredOp::In] {
+                        assert_eq!(
+                            c.estimate_selectivity(ColumnId(id), op).to_bits(),
+                            uncached_selectivity(stats, op).to_bits(),
+                            "column {id} {op:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(zipf > 0, "the catalogs hold no Zipf column");
     }
 
     #[test]

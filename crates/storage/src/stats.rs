@@ -6,6 +6,57 @@
 
 use cliffguard_workload::PredOp;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+/// Terms of the direct sum behind a Zipf column's equality selectivity.
+const ZIPF_TERMS: u64 = 1024;
+
+/// Entries the shared Zipf memo holds before it starts over, so a
+/// long-running daemon fed ever new catalogs stays bounded.
+const ZIPF_MEMO_CAPACITY: usize = 4096;
+
+/// Collision probability `Σ p_i² / (Σ p_i)²` of a Zipf(θ) distribution
+/// over `n` values, `p_i ∝ 1/i^θ`: a direct sum of up to [`ZIPF_TERMS`]
+/// terms, which is closed-form-free but cheap enough to approximate this
+/// way.
+///
+/// The ratio depends on nothing but `(n, θ)`, and the parser estimates
+/// one equality predicate after another on the same columns, so each
+/// ratio is summed once and memoized per `(n, θ bits)` in one map shared
+/// by every catalog: a catalog decoded again, as each request to the
+/// daemon does, finds its ratios there while the memo still holds them.
+/// The memo is filled on demand, never for every column up front, and
+/// holds plain ratios; the `1/ndv` clamp and the per-[`PredOp`] rule stay
+/// with the caller. The stored value is the sum's own result, so a hit is
+/// bit-identical to summing again.
+fn zipf_collision(n: u64, theta: f64) -> f64 {
+    static MEMO: OnceLock<Mutex<HashMap<(u64, u64), f64>>> = OnceLock::new();
+    let memo = MEMO.get_or_init(Mutex::default);
+    let key = (n, theta.to_bits());
+    // A poisoned memo still holds only finished ratios.
+    if let Some(&ratio) = memo
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+    {
+        return ratio;
+    }
+    let ratio = zipf_collision_uncached(n, theta);
+    let mut map = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if map.len() >= ZIPF_MEMO_CAPACITY {
+        map.clear();
+    }
+    map.insert(key, ratio);
+    ratio
+}
+
+/// The sum behind [`zipf_collision`], computed every time.
+fn zipf_collision_uncached(n: u64, theta: f64) -> f64 {
+    let h: f64 = (1..=n).map(|i| (i as f64).powf(-theta)).sum();
+    let sq: f64 = (1..=n).map(|i| (i as f64).powf(-2.0 * theta)).sum();
+    sq / (h * h)
+}
 
 /// Value distribution of a column, as the optimizer models it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,14 +111,7 @@ impl ColumnStats {
         let eq = match self.distribution {
             Distribution::Uniform => 1.0 / ndv,
             Distribution::Zipf(theta) => {
-                // Collision probability of a Zipf(θ) distribution over `ndv`
-                // values: sum p_i^2 with p_i ∝ 1/i^θ. Closed-form-free but
-                // cheap to approximate with the first few terms + integral
-                // tail; we use a small direct sum capped at 1024 terms.
-                let n = self.ndv.min(1024);
-                let h: f64 = (1..=n).map(|i| (i as f64).powf(-theta)).sum();
-                let sq: f64 = (1..=n).map(|i| (i as f64).powf(-2.0 * theta)).sum();
-                (sq / (h * h)).clamp(1.0 / ndv, 1.0)
+                zipf_collision(self.ndv.min(ZIPF_TERMS), theta).clamp(1.0 / ndv, 1.0)
             }
         };
         match op {

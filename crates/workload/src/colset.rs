@@ -171,17 +171,6 @@ impl ColumnSet {
         })
     }
 
-    /// Jaccard similarity `|A∩B| / |A∪B|` (1.0 for two empty sets).
-    pub fn jaccard(&self, other: &Self) -> f64 {
-        let inter = self.intersection(other).len();
-        let uni = self.union(other).len();
-        if uni == 0 {
-            1.0
-        } else {
-            inter as f64 / uni as f64
-        }
-    }
-
     fn trim(&mut self) {
         while self.words.last() == Some(&0) {
             self.words.pop();
@@ -264,14 +253,6 @@ mod tests {
         let s = ColumnSet::from_ids(&[65, 2, 0, 130]);
         let v: Vec<u32> = s.iter().map(|c| c.0).collect();
         assert_eq!(v, vec![0, 2, 65, 130]);
-    }
-
-    #[test]
-    fn jaccard_similarity() {
-        let a = ColumnSet::from_ids(&[1, 2]);
-        let b = ColumnSet::from_ids(&[2, 3]);
-        assert!((a.jaccard(&b) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ColumnSet::new().jaccard(&ColumnSet::new()), 1.0);
     }
 
     #[test]

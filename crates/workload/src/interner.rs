@@ -15,9 +15,8 @@
 //! queries in exactly the order `Workload::iter` would — a requirement for
 //! bit-identical f64 reductions.
 
-use crate::query::{Query, QuerySignature};
+use crate::query::{Query, QuerySignature, SignatureMap};
 use crate::workload::Workload;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Dense identifier of a distinct query inside a [`WorkloadInterner`].
@@ -105,7 +104,7 @@ impl InternedWorkload {
 #[derive(Debug, Default)]
 pub struct WorkloadInterner {
     queries: Vec<Arc<Query>>,
-    by_sig: HashMap<QuerySignature, u32>,
+    by_sig: SignatureMap<u32>,
     raw_entries: u64,
 }
 
@@ -117,7 +116,13 @@ impl WorkloadInterner {
 
     /// Interns a single query, returning its dense id (existing or new).
     pub fn intern_query(&mut self, query: &Arc<Query>) -> QueryId {
-        let sig = query.signature();
+        self.intern_signed(query.signature(), query)
+    }
+
+    /// [`intern_query`](Self::intern_query) for a caller that already
+    /// holds the query's signature: `sig` must be `query.signature()`.
+    pub fn intern_signed(&mut self, sig: QuerySignature, query: &Arc<Query>) -> QueryId {
+        debug_assert_eq!(sig, query.signature(), "stale signature");
         match self.by_sig.get(&sig) {
             Some(&id) => QueryId(id),
             None => {
@@ -132,10 +137,10 @@ impl WorkloadInterner {
     /// Interns every entry of `workload`, preserving entry order.
     pub fn intern(&mut self, workload: &Workload) -> InternedWorkload {
         let entries = workload
-            .iter()
-            .map(|(q, wt)| {
+            .iter_signed()
+            .map(|(sig, q, wt)| {
                 self.raw_entries += 1;
-                (self.intern_query(q), wt)
+                (self.intern_signed(sig, q), wt)
             })
             .collect();
         InternedWorkload::from_entries(entries)
@@ -143,7 +148,12 @@ impl WorkloadInterner {
 
     /// Looks up the id of an already-interned query (`None` if unseen).
     pub fn id_of(&self, query: &Query) -> Option<QueryId> {
-        self.by_sig.get(&query.signature()).map(|&id| QueryId(id))
+        self.id_of_signature(query.signature())
+    }
+
+    /// [`id_of`](Self::id_of) by the query's signature.
+    pub fn id_of_signature(&self, sig: QuerySignature) -> Option<QueryId> {
+        self.by_sig.get(&sig).map(|&id| QueryId(id))
     }
 
     /// The query behind a dense id.

@@ -54,7 +54,10 @@ pub use colset::ColumnSet;
 pub use ids::{ColumnId, TableId};
 pub use interner::{InternedWorkload, QueryId, WorkloadInterner};
 pub use log::{window_secs, LogEntry, QueryLog, SECS_PER_DAY};
-pub use query::{PredOp, Predicate, Query, QueryBuilder, QuerySignature};
+pub use query::{
+    PredOp, Predicate, Query, QueryBuilder, QuerySignature, SignatureHasher, SignatureMap,
+    SignatureSet, SignatureState,
+};
 pub use resolve::{NameResolver, SimpleResolver};
 pub use stream::{LogStream, StreamStats};
 pub use tape::{LogTape, LogTapeConfig};

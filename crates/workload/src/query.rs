@@ -8,7 +8,10 @@
 use crate::colset::ColumnSet;
 use crate::ids::{ColumnId, TableId};
 use serde::{Deserialize, Serialize};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Kind of a filter predicate. Determines both default selectivity and how
 /// well a sorted projection / index prefix can exploit it.
@@ -55,6 +58,77 @@ impl Predicate {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct QuerySignature(pub u64);
 
+/// The hash state of maps and sets keyed by [`QuerySignature`].
+///
+/// A signature already is a SipHash of the query, so hashing its 64 bits
+/// again with SipHash only repeats the work: [`SignatureHasher`] folds
+/// them with one keyed 64×64→128-bit multiply instead. The key is drawn
+/// from [`RandomState`] once per process and copied into each map:
+/// signatures come from queries that the daemon's tenants supply, and
+/// `DefaultHasher`'s keys are public, so without it anyone could pick
+/// queries whose signatures collide in the bits a table uses. No code
+/// iterates these maps (clippy's `disallowed-methods` list enforces it),
+/// so no output depends on the key.
+#[derive(Clone, Copy)]
+pub struct SignatureState {
+    key: u64,
+}
+
+impl Default for SignatureState {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        Self {
+            key: *KEY.get_or_init(|| RandomState::new().hash_one(0u8)),
+        }
+    }
+}
+
+impl std::fmt::Debug for SignatureState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The key stays out of debug output.
+        f.debug_struct("SignatureState").finish_non_exhaustive()
+    }
+}
+
+impl BuildHasher for SignatureState {
+    type Hasher = SignatureHasher;
+
+    fn build_hasher(&self) -> SignatureHasher {
+        SignatureHasher { hash: self.key }
+    }
+}
+
+/// The hasher [`SignatureState`] builds.
+pub struct SignatureHasher {
+    hash: u64,
+}
+
+impl Hasher for SignatureHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Keys other than a signature's one `u64` still hash, just not
+        // for free.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(self.hash ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A map keyed by [`QuerySignature`] through [`SignatureState`].
+pub type SignatureMap<V> = HashMap<QuerySignature, V, SignatureState>;
+
+/// A set of [`QuerySignature`]s through [`SignatureState`].
+pub type SignatureSet = HashSet<QuerySignature, SignatureState>;
+
 /// A single analytical query.
 ///
 /// `select`, `filter`, `group_by` are column *sets*; `order_by` keeps column
@@ -99,15 +173,6 @@ impl Query {
     /// ORDER BY columns as a set.
     pub fn order_by_set(&self) -> ColumnSet {
         ColumnSet::from_iter(self.order_by.iter().copied())
-    }
-
-    /// Combined selectivity of all predicates assuming independence.
-    pub fn combined_selectivity(&self) -> f64 {
-        self.predicates
-            .iter()
-            .map(|p| p.selectivity)
-            .product::<f64>()
-            .clamp(1e-12, 1.0)
     }
 
     /// Whether this query references any column at all. The paper drops
@@ -294,15 +359,6 @@ mod tests {
             .order_by(&[2, 1])
             .build();
         assert_ne!(a.signature(), b.signature());
-    }
-
-    #[test]
-    fn combined_selectivity_multiplies() {
-        let q = QueryBuilder::new(TableId(0))
-            .filter(1, PredOp::Eq, 0.1)
-            .filter(2, PredOp::Range, 0.5)
-            .build();
-        assert!((q.combined_selectivity() - 0.05).abs() < 1e-12);
     }
 
     #[test]

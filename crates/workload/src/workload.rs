@@ -5,10 +5,9 @@
 //! the distance metrics operate on *normalized* frequencies `r_i`
 //! (Section 5), which [`Workload::normalized`] provides.
 
-use crate::query::{Query, QuerySignature};
+use crate::query::{Query, QuerySignature, SignatureMap, SignatureSet};
 use crate::template::Template;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A query together with its (raw, unnormalized) weight in a workload.
@@ -24,11 +23,22 @@ pub struct WeightedQuery {
 ///
 /// Queries are deduplicated by [`QuerySignature`]: adding an existing query
 /// accumulates its weight.
+///
+/// Each entry's signature is computed once, when the entry is added, and
+/// kept next to it: entries are only ever appended (no method drops one),
+/// so [`iter_signed`](Self::iter_signed) hands callers a signature that
+/// is still the query's, and they key their own maps with it instead of
+/// hashing the query again. Signatures and the index are derived state,
+/// skipped by serde; [`rebuild_index`](Self::rebuild_index) restores both
+/// after deserialization.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Workload {
     entries: Vec<WeightedQuery>,
+    /// `sigs[i]` is `entries[i].query.signature()`.
     #[serde(skip)]
-    index: HashMap<QuerySignature, usize>,
+    sigs: Vec<QuerySignature>,
+    #[serde(skip)]
+    index: SignatureMap<usize>,
 }
 
 impl Workload {
@@ -56,11 +66,19 @@ impl Workload {
 
     /// [`add`](Self::add), returning the index of the entry that holds
     /// `query`. Entries are only ever appended, so the index stays valid
-    /// for [`add_to_entry`](Self::add_to_entry) until the next
-    /// [`retain_column_referencing`](Self::retain_column_referencing).
+    /// for [`add_to_entry`](Self::add_to_entry).
     pub fn add_indexed(&mut self, query: Arc<Query>, weight: f64) -> usize {
-        assert_positive(weight);
         let sig = query.signature();
+        self.add_signed(sig, query, weight)
+    }
+
+    /// [`add_indexed`](Self::add_indexed) for a caller that already holds
+    /// the query's signature, say from another workload's
+    /// [`iter_signed`](Self::iter_signed): `sig` must be
+    /// `query.signature()`.
+    pub fn add_signed(&mut self, sig: QuerySignature, query: Arc<Query>, weight: f64) -> usize {
+        assert_positive(weight);
+        debug_assert_eq!(sig, query.signature(), "stale signature");
         match self.index.get(&sig) {
             Some(&i) => {
                 self.entries[i].weight += weight;
@@ -69,6 +87,7 @@ impl Workload {
             None => {
                 let i = self.entries.len();
                 self.index.insert(sig, i);
+                self.sigs.push(sig);
                 self.entries.push(WeightedQuery { query, weight });
                 i
             }
@@ -115,6 +134,22 @@ impl Workload {
         self.entries.iter().map(|e| (&e.query, e.weight))
     }
 
+    /// Iterates `(signature, query, raw_weight)` in entry order, with each
+    /// query's stored signature.
+    ///
+    /// Panics on a deserialized workload whose index was not rebuilt.
+    pub fn iter_signed(&self) -> impl Iterator<Item = (QuerySignature, &Arc<Query>, f64)> {
+        assert_eq!(
+            self.sigs.len(),
+            self.entries.len(),
+            "call `rebuild_index` after deserializing a workload"
+        );
+        self.sigs
+            .iter()
+            .zip(&self.entries)
+            .map(|(&sig, e)| (sig, &e.query, e.weight))
+    }
+
     /// Iterates `(query, normalized_frequency)`; frequencies sum to 1.
     pub fn normalized(&self) -> impl Iterator<Item = (&Arc<Query>, f64)> {
         let total = self.total_weight().max(f64::MIN_POSITIVE);
@@ -130,9 +165,9 @@ impl Workload {
 
     /// Merges `other` into `self`, scaling other's weights by `scale`.
     pub fn merge_scaled(&mut self, other: &Workload, scale: f64) {
-        for (q, w) in other.iter() {
+        for (sig, q, w) in other.iter_signed() {
             if w * scale > 0.0 {
-                self.add(Arc::clone(q), w * scale);
+                self.add_signed(sig, Arc::clone(q), w * scale);
             }
         }
     }
@@ -142,16 +177,6 @@ impl Workload {
         let mut w = self.clone_rebuilt();
         w.merge_scaled(other, 1.0);
         w
-    }
-
-    /// Normalized frequency histogram over templates (Figure 5's unit of
-    /// analysis).
-    pub fn template_histogram(&self) -> HashMap<Template, f64> {
-        let mut h: HashMap<Template, f64> = HashMap::new();
-        for (q, f) in self.normalized() {
-            *h.entry(Template::of(q)).or_insert(0.0) += f;
-        }
-        h
     }
 
     /// Fraction of this workload's weight whose template also occurs in
@@ -165,30 +190,20 @@ impl Workload {
             .sum()
     }
 
-    /// Rebuilds the signature index (needed after deserialization, where the
-    /// index is skipped). Also used internally by `clone`-then-mutate paths.
+    /// Rebuilds the stored signatures and the signature index (needed
+    /// after deserialization, where both are skipped). Also used
+    /// internally by `clone`-then-mutate paths.
     pub fn rebuild_index(&mut self) {
-        self.index = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.query.signature(), i))
-            .collect();
+        self.sigs = self.entries.iter().map(|e| e.query.signature()).collect();
+        self.index = self.sigs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     }
 
     fn clone_rebuilt(&self) -> Workload {
         let mut w = self.clone();
-        if w.index.len() != w.entries.len() {
+        if w.sigs.len() != w.entries.len() || w.index.len() != w.entries.len() {
             w.rebuild_index();
         }
         w
-    }
-
-    /// Drops queries not referencing any column (the paper excludes e.g.
-    /// `SELECT version()` from the analysis).
-    pub fn retain_column_referencing(&mut self) {
-        self.entries.retain(|e| e.query.references_columns());
-        self.rebuild_index();
     }
 }
 
@@ -197,10 +212,10 @@ impl Workload {
 /// signature. Callers choose the windows and the order to visit them.
 pub fn query_pool<'a>(windows: impl IntoIterator<Item = &'a Workload>) -> Vec<Arc<Query>> {
     let mut pool = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = SignatureSet::default();
     for w in windows {
-        for q in w.queries() {
-            if seen.insert(q.signature()) {
+        for (sig, q, _) in w.iter_signed() {
+            if seen.insert(sig) {
                 pool.push(Arc::clone(q));
             }
         }
@@ -225,7 +240,8 @@ impl FromIterator<(Query, f64)> for Workload {
 mod tests {
     use super::*;
     use crate::ids::TableId;
-    use crate::query::{PredOp, QueryBuilder};
+    use crate::query::QueryBuilder;
+    use serde::{Deserialize, Serialize};
 
     fn q(sel: &[u32]) -> Query {
         QueryBuilder::new(TableId(0)).select(sel).build()
@@ -306,14 +322,57 @@ mod tests {
         assert!((b.shared_template_fraction(&a) - 1.0).abs() < 1e-12);
     }
 
+    /// Every entry carries its own query's signature, however it was
+    /// added, and a serde round trip plus `rebuild_index` restores them.
     #[test]
-    fn retain_column_referencing_drops_trivial() {
-        let mut w =
-            Workload::from_queries([(q(&[1]), 1.0), (QueryBuilder::new(TableId(0)).build(), 5.0)]);
-        w.retain_column_referencing();
-        assert_eq!(w.len(), 1);
-        // Index still consistent after retain.
-        assert_eq!(w.weight_of(&q(&[1])), 1.0);
+    fn stored_signatures_are_the_queries_own() {
+        let signed = |w: &Workload| {
+            assert_eq!(w.iter_signed().count(), w.len());
+            for (sig, query, _) in w.iter_signed() {
+                assert_eq!(sig, query.signature());
+            }
+        };
+        let mut w = Workload::from_queries([(q(&[1]), 1.0), (q(&[2]), 2.0), (q(&[1]), 3.0)]);
+        assert_eq!(w.len(), 2);
+        signed(&w);
+        let i = w.add_indexed(Arc::new(q(&[3])), 1.0);
+        w.add_to_entry(i, 2.0);
+        w.add(Arc::new(q(&[2])), 1.0);
+        let four = Arc::new(q(&[4]));
+        w.add_signed(four.signature(), four, 1.0);
+        signed(&w);
+        let mut merged = Workload::from_queries([(q(&[5]), 1.0)]);
+        merged.merge_scaled(&w, 0.5);
+        signed(&merged);
+        signed(&w.union(&merged));
+
+        // Signatures are not serialized: the wire form is the entries.
+        let value = w.to_value();
+        match &value {
+            serde::Value::Map(fields) => {
+                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(keys, ["entries"]);
+            }
+            other => panic!("workload serialized as {other:?}"),
+        }
+        let mut back = Workload::from_value(&value).expect("workload round-trips");
+        back.rebuild_index();
+        signed(&back);
+        let bits = |w: &Workload| -> Vec<(u64, u64)> {
+            w.iter_signed()
+                .map(|(sig, _, wt)| (sig.0, wt.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&w));
+        assert_eq!(back.weight_of(&q(&[3])), 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rebuild_index")]
+    fn signed_iteration_needs_a_rebuilt_index() {
+        let w = Workload::from_queries([(q(&[1]), 1.0)]);
+        let back = Workload::from_value(&w.to_value()).expect("workload round-trips");
+        let _ = back.iter_signed().count();
     }
 
     #[test]
@@ -321,21 +380,5 @@ mod tests {
     fn zero_weight_rejected() {
         let mut w = Workload::new();
         w.add(Arc::new(q(&[1])), 0.0);
-    }
-
-    #[test]
-    fn template_histogram_groups_by_template() {
-        let a = QueryBuilder::new(TableId(0))
-            .select(&[1])
-            .filter(2, PredOp::Eq, 0.1)
-            .build();
-        let b = QueryBuilder::new(TableId(0))
-            .select(&[1])
-            .filter(2, PredOp::Range, 0.5)
-            .build();
-        let w = Workload::from_queries([(a, 1.0), (b, 1.0)]);
-        let h = w.template_histogram();
-        assert_eq!(h.len(), 1);
-        assert!((h.values().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }

@@ -325,6 +325,7 @@ impl<T: Deserialize> Deserialize for Rc<T> {
 impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
     fn to_value(&self) -> Value {
         // Deterministic output: sort keys.
+        #[allow(clippy::disallowed_methods)] // sorts afterwards
         let mut entries: Vec<(&String, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
         Value::Map(

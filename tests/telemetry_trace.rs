@@ -258,3 +258,76 @@ fn daemon_trace_validates_against_golden_schema() {
         assert!(trace.contains(&name), "no {name} in the trace");
     }
 }
+
+/// A design session runs on a worker while the intake thread answers
+/// ingest frames, yet the daemon's trace is a pure function of the tape:
+/// each session's lines are held back and written at the drain barrier,
+/// in seq order, just before its `cliffguard.serve.session.end`. Two runs
+/// and both worker counts give the same bytes, the trace validates, and
+/// tracing leaves the replies as an untraced run writes them.
+#[test]
+fn daemon_trace_is_deterministic_when_a_session_overlaps_ingest() {
+    use cliffguard::serve::harness::{design_line, ingest_line, ServeHarness};
+    use cliffguard::serve::{testdata, IngestRequest};
+
+    let _lock = telemetry_lock();
+    let (catalog, tape) = testdata::ingest_fixture(LogTapeConfig::default());
+    let (head, tail) = tape.text().split_at(tape.text().len() / 2);
+    let mut first = IngestRequest::new("stream", catalog, head);
+    first.window = Some(tape.config().window_len as u64);
+    let mut last = IngestRequest::chunk_only("stream", tail);
+    last.eof = true;
+    let frames = [
+        design_line(&testdata::design_request("acme", 7)),
+        ingest_line(&first),
+        ingest_line(&last),
+        design_line(&testdata::design_request("beta", 11)),
+        r#"{"op":"shutdown"}"#.into(),
+    ];
+    let traced = |max_concurrent: usize| {
+        let guard = trace_to_memory(TraceClock::shared_ms(|| 0));
+        let replies = ServeHarness::new()
+            .with_max_concurrent(max_concurrent)
+            .run_tape(&frames);
+        let trace = guard.memory().expect("memory sink captured").to_jsonl();
+        (replies, trace)
+    };
+    let untraced = ServeHarness::new().with_max_concurrent(1).run_tape(&frames);
+
+    let (replies, trace) = traced(1);
+    assert_eq!(replies, untraced, "tracing changed the replies");
+    assert_eq!(traced(1), (replies.clone(), trace.clone()), "rerun differs");
+    // The start line reports the worker count; everything after it must
+    // match.
+    let after_start = |t: &str| t.split_once('\n').map(|(_, rest)| rest.to_string());
+    let (replies_8, trace_8) = traced(8);
+    assert_eq!(replies_8, replies, "8 workers: replies differ");
+    assert_eq!(
+        after_start(&trace_8),
+        after_start(&trace),
+        "8 workers: trace differs"
+    );
+    golden_schema()
+        .check_trace(&trace)
+        .unwrap_or_else(|errs| panic!("schema violations: {errs:?}"));
+
+    // Each session's descent lines come after both ingest frames' lines
+    // and before its own `session.end`.
+    let lines: Vec<&str> = trace.lines().collect();
+    let position = |name: &str| {
+        lines
+            .iter()
+            .position(|l| l.contains(name))
+            .unwrap_or_else(|| panic!("no {name} in the trace"))
+    };
+    let last_window = lines
+        .iter()
+        .rposition(|l| l.contains("\"cliffguard.core.ingest.window\""))
+        .expect("ingest windows in the trace");
+    let first_iter = position("\"cliffguard.core.descent.iter\"");
+    let first_end = position("\"cliffguard.serve.session.end\"");
+    assert!(
+        last_window < first_iter && first_iter < first_end,
+        "window {last_window}, iter {first_iter}, end {first_end}"
+    );
+}

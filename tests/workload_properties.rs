@@ -81,7 +81,7 @@ proptest! {
         };
         let w0 = mk(w0_ws);
         let n = mk(n_ws);
-        let moved = move_workload(&w0, &[&n], |_| 1.0, alpha);
+        let moved = move_workload(&w0, &[&n], |_, _| 1.0, alpha);
         // Every W0 query keeps at least its weight; every neighbor query
         // appears; weights finite.
         for (q, wt) in w0.iter() {
