@@ -37,7 +37,7 @@ where
         budget_bytes: budget,
         designable_factor: 3.0,
     };
-    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    let gamma = GammaPolicy::AUTO;
 
     let mut out = vec![evaluate_strategy(
         engine, &NoDesign, windows, &metric, &opts,

@@ -101,7 +101,7 @@ pub mod fig11 {
             budget_bytes: setup.budget,
             designable_factor: 3.0,
         };
-        let s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), seed);
+        let s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, seed);
         let r = evaluate_strategy(&setup.engine, &s, &setup.windows, &metric, &opts);
         (r.mean_avg_ms, r.mean_max_ms)
     }
@@ -164,8 +164,7 @@ pub mod fig12 {
             &["n", "Avg Latency (ms)", "Max Latency (ms)"],
         );
         for n in [2usize, 5, 10, 20, 40, 80] {
-            let mut s =
-                CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), seed);
+            let mut s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, seed);
             s.config.n_samples = n;
             let r = evaluate_strategy(&setup.engine, &s, &setup.windows, &metric, &opts);
             t.row(vec![
@@ -198,8 +197,7 @@ pub mod fig13 {
             &["Iterations", "Avg Latency (ms)", "Max Latency (ms)"],
         );
         for iters in [0usize, 1, 2, 3, 5, 10, 25] {
-            let mut s =
-                CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), seed);
+            let mut s = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, seed);
             s.config.max_iters = iters;
             s.config.patience = iters.max(1);
             let r = evaluate_strategy(&setup.engine, &s, &setup.windows, &metric, &opts);

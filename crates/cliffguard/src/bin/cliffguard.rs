@@ -15,14 +15,14 @@
 use cliffguard::cli::{parse_flags, Flags};
 use cliffguard::prelude::*;
 use cliffguard::serve::{
-    run_design, BudgetSpec, DesignInputs, DesignRequest, GammaSpec, RunOutcome, RunnerOptions,
+    run_design, BudgetSpec, DesignInputs, DesignRequest, GammaSpec, IngestRequest, IngestSession,
+    RunOutcome, RunnerOptions,
 };
 use cliffguard::sim::ddl;
 use cliffguard::trace_schema::TraceSchema;
 use cliffguard::workload::logio::ImportReport;
 use cliffguard::workload::{window_secs, SECS_PER_DAY};
 use std::process::exit;
-use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,8 +101,8 @@ fn usage() {
                      [--replicas R] [--max-failures K]\n\
            ingest    --catalog CATALOG.json --log LOG.tsv|- [--window N]\n\
                      [--window-secs S] [--gamma auto|G] [--chunk-bytes N]\n\
-                     [--warmup N] [--cooldown N] [--rearm-ratio F]\n\
-                     [--no-design] [--budget auto|BYTES] [--faults SPEC]\n\
+                     [--warmup N] [--cooldown N] [--no-design]\n\
+                     [--budget auto|BYTES] [--faults SPEC]\n\
            serve     [--listen ADDR:PORT] [--state-dir DIR] [--max-concurrent N]\n\
                      [--max-queue N] [--tenant-deadline-ms N]\n\
                      [--checkpoint-every N] [--faults SPEC]\n\
@@ -138,11 +138,12 @@ fn usage() {
          surviving replica. `replica-crash@N:R` / `replica-slow@N:R` fault\n\
          specs inject mid-design replica loss; the audit records failovers\n\
          \n\
-         ingest streams the log (or stdin with `-`) through the online drift\n\
-         advisor in bounded memory: arrivals fold into sliding windows, every\n\
+         ingest streams the log (or stdin with `-`) through the daemon's ingest\n\
+         session in bounded memory: arrivals fold into sliding windows, every\n\
          close prints one audit line (delta and gamma as IEEE-754 bit\n\
          patterns), and a delta > gamma excursion launches a redesign unless\n\
-         --no-design. The audit stream is byte-identical at any --chunk-bytes\n\
+         --no-design; the advisor re-arms once delta <= gamma again. The\n\
+         output is byte-identical at any --chunk-bytes\n\
          \n\
          serve runs the multi-tenant advisor daemon: newline-delimited JSON\n\
          requests (design|ingest|status|metrics|drain|shutdown) on\n\
@@ -212,6 +213,13 @@ fn load_catalog(opts: &Flags) -> Result<Catalog, String> {
     Ok(cat)
 }
 
+/// The `--catalog` file as the JSON value a daemon frame carries.
+fn catalog_value(opts: &Flags) -> Result<serde::Value, String> {
+    let path = flag(opts, "catalog")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
+}
+
 fn numeric<T: std::str::FromStr>(opts: &Flags, name: &str) -> Result<Option<T>, String> {
     match opts.get(name) {
         None => Ok(None),
@@ -266,6 +274,17 @@ fn budget_spec(opts: &Flags) -> Result<BudgetSpec, String> {
                 "bad --budget `{s}` (budget must be \"auto\" or a positive integer)"
             )),
         },
+    }
+}
+
+/// `--gamma`: `auto` or a number; the protocol's rules check its range.
+fn gamma_spec(opts: &Flags) -> Result<GammaSpec, String> {
+    match opts.get("gamma").map(|s| s.as_str()) {
+        None | Some("auto") | Some("") => Ok(GammaSpec::Auto),
+        Some(s) => s
+            .parse()
+            .map(GammaSpec::Fixed)
+            .map_err(|_| format!("bad --gamma `{s}`")),
     }
 }
 
@@ -340,7 +359,7 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
     );
     println!(
         "suggested gamma (1.5 x max past delta): {:.5}",
-        1.5 * stats.max
+        GammaPolicy::AUTO.resolve(&deltas)
     );
     for (i, w) in windows.iter().enumerate() {
         let overlap = if i > 0 {
@@ -365,9 +384,7 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
 /// The daemon's `design` request for these flags, with the sampler
 /// seeded 0 (the protocol's default is 42).
 fn design_request(opts: &Flags) -> Result<DesignRequest, String> {
-    let path = flag(opts, "catalog")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let catalog = serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let catalog = catalog_value(opts)?;
     let path = flag(opts, "log")?;
     let log = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let mut req = DesignRequest::new("cli", catalog, log);
@@ -378,12 +395,7 @@ fn design_request(opts: &Flags) -> Result<DesignRequest, String> {
     req.replicas = numeric(opts, "replicas")?.unwrap_or(1);
     req.max_failures = numeric(opts, "max-failures")?.unwrap_or(0);
     if !opts.contains_key("nominal") {
-        if let Some(s) = opts
-            .get("gamma")
-            .filter(|s| !matches!(s.as_str(), "auto" | ""))
-        {
-            req.gamma = GammaSpec::Fixed(s.parse().map_err(|_| format!("bad --gamma `{s}`"))?);
-        }
+        req.gamma = gamma_spec(opts)?;
         req.max_retries = numeric(opts, "max-retries")?;
         req.designer_deadline_ms = numeric(opts, "designer-deadline-ms")?;
         req.deadline_ms = numeric(opts, "session-deadline-ms")?;
@@ -507,63 +519,27 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
 
 // ---------------------------------------------------------------- ingest --
 
-/// Parses the windowing/trigger flags shared by `ingest` into an advisor
-/// configuration.
-fn advisor_config(opts: &Flags, n_columns: usize) -> Result<OnlineAdvisorConfig, String> {
-    let mut config = OnlineAdvisorConfig::new(n_columns);
-    config.window = match (opts.get("window"), opts.get("window-secs")) {
-        (Some(_), Some(_)) => {
-            return Err("--window and --window-secs are mutually exclusive".into());
-        }
-        (Some(n), None) => match n.parse::<usize>() {
-            Ok(n) if n > 0 => WindowPolicy::Count(n),
-            _ => return Err(format!("bad --window `{n}` (want a positive count)")),
-        },
-        (None, Some(s)) => match s.parse::<u64>() {
-            Ok(s) if s > 0 => WindowPolicy::LogTime(s),
-            _ => return Err(format!("bad --window-secs `{s}` (want positive seconds)")),
-        },
-        (None, None) => WindowPolicy::Count(64),
-    };
-    config.gamma = match opts.get("gamma").map(|s| s.as_str()) {
-        None | Some("auto") | Some("") => GammaPolicy::KMaxPastDeltas(1.5),
-        Some(s) => {
-            let g: f64 = s.parse().map_err(|_| format!("bad --gamma `{s}`"))?;
-            if !g.is_finite() || g < 0.0 {
-                return Err(format!(
-                    "bad --gamma `{s}` (gamma must be a finite number >= 0)"
-                ));
-            }
-            GammaPolicy::Fixed(g)
-        }
-    };
-    if let Some(n) = opts.get("warmup") {
-        config.warmup = n.parse().map_err(|_| format!("bad --warmup `{n}`"))?;
-    }
-    if let Some(n) = opts.get("cooldown") {
-        config.cooldown = n.parse().map_err(|_| format!("bad --cooldown `{n}`"))?;
-    }
-    if let Some(r) = opts.get("rearm-ratio") {
-        let ratio: f64 = r.parse().map_err(|_| format!("bad --rearm-ratio `{r}`"))?;
-        if ratio.is_nan() || ratio < 0.0 {
-            return Err(format!(
-                "bad --rearm-ratio `{r}` (want a non-negative factor)"
-            ));
-        }
-        config.rearm_ratio = ratio;
-    }
-    Ok(config)
+/// The daemon's first `ingest` frame for these flags, without bytes: the
+/// knobs meet the protocol's rule when the session opens.
+fn ingest_request(opts: &Flags) -> Result<IngestRequest, String> {
+    let mut req = IngestRequest::new("cli", catalog_value(opts)?, "");
+    req.window = numeric(opts, "window")?;
+    req.window_secs = numeric(opts, "window-secs")?;
+    req.gamma = gamma_spec(opts)?;
+    req.warmup = numeric(opts, "warmup")?.unwrap_or(req.warmup);
+    req.cooldown = numeric(opts, "cooldown")?.unwrap_or(req.cooldown);
+    Ok(req)
 }
 
-/// Streams a query log through the online drift advisor: chunked reads,
-/// sliding windows, incremental δ, and Γ-triggered redesigns. Every line
-/// this command prints to stdout is deterministic — CI compares runs at
-/// different chunk sizes byte-for-byte.
+/// Streams a query log through the daemon's [`IngestSession`]: chunked
+/// reads, sliding windows, incremental δ, and a resilient redesign at
+/// each trigger. Every line this command prints to stdout is
+/// deterministic — CI compares runs at different chunk sizes
+/// byte-for-byte.
 fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
     use std::io::{Read as _, Write as _};
 
-    let catalog = load_catalog(opts)?;
-    let config = advisor_config(opts, catalog.column_count())?;
+    let mut session = IngestSession::create(&ingest_request(opts)?, clock.clone())?;
     let chunk_bytes: usize = match opts.get("chunk-bytes") {
         None => 64 << 10,
         Some(s) => match s.parse() {
@@ -572,9 +548,7 @@ fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
         },
     };
     let run_designs = !opts.contains_key("no-design");
-
-    let engine = ColumnarEngine::new(catalog);
-    let budget = budget_spec(opts)?.bytes(engine.catalog());
+    let budget = budget_spec(opts)?.bytes(session.engine().catalog());
     let plan = fault_spec(opts)?.map(|(_, plan)| plan);
 
     let path = flag(opts, "log")?;
@@ -584,52 +558,42 @@ fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
         Box::new(std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?)
     };
 
-    let mut advisor = OnlineAdvisor::new(config, clock.clone());
-    let mut stream = LogStream::new();
     let mut out = std::io::stdout().lock();
-    // Window audits (plus the redesign inputs captured at trigger time)
-    // are collected inside the sink and flushed after each chunk, keeping
-    // the sink free of I/O and design work.
-    let mut pending: Vec<PendingAudit> = Vec::new();
     let mut buf = vec![0u8; chunk_bytes];
     let started = std::time::Instant::now();
-
     loop {
         let n = reader
             .read(&mut buf)
             .map_err(|e| format!("read {path}: {e}"))?;
+        // A zero-byte read is the end of the log: flush and close.
+        for closed in session.feed(&buf[..n], n == 0) {
+            let audit = &closed.audit;
+            writeln!(out, "{}", audit.line()).map_err(|e| format!("write stdout: {e}"))?;
+            let Some(inputs) = closed.trigger.as_ref().filter(|_| run_designs) else {
+                continue;
+            };
+            let (design, trace) =
+                session.redesign(inputs, audit.gamma, budget, plan.as_ref(), clock)?;
+            writeln!(
+                out,
+                "T{} projections={} bytes={} designer_calls={} retries={} faults={} degraded={}",
+                audit.index,
+                design.len(),
+                design.price_bytes(session.engine().catalog()),
+                trace.designer_calls,
+                trace.retries,
+                trace.faults,
+                u8::from(trace.degraded.is_some()),
+            )
+            .map_err(|e| format!("write stdout: {e}"))?;
+        }
         if n == 0 {
             break;
         }
-        {
-            let (advisor, pending) = (&mut advisor, &mut pending);
-            let mut sink = |ts: u64, _id: QueryId, q: &Arc<Query>| {
-                observe_into(advisor, pending, run_designs, ts, q);
-            };
-            stream.feed(&buf[..n], engine.catalog(), &mut sink);
-        }
-        // Keep the intern table bounded on an unbounded log: compaction
-        // drops statements outside the advisor's retained windows and is
-        // invisible to the audit stream (dropped statements re-parse on
-        // their next arrival).
-        advisor.compact_stream(&mut stream, DEFAULT_INTERN_CAPACITY);
-        flush_window_audits(&mut out, &mut pending, &engine, budget, &plan, clock)?;
     }
-    {
-        let (advisor, pending) = (&mut advisor, &mut pending);
-        let mut sink = |ts: u64, _id: QueryId, q: &Arc<Query>| {
-            observe_into(advisor, pending, run_designs, ts, q);
-        };
-        stream.finish(engine.catalog(), &mut sink);
-    }
-    // The partial trailing window closes exactly as a full one would (it
-    // can trigger too), so end-of-stream state is part of the audit.
-    if let Some(audit) = advisor.finish() {
-        push_audit(&mut advisor, &mut pending, run_designs, audit);
-    }
-    flush_window_audits(&mut out, &mut pending, &engine, budget, &plan, clock)?;
 
-    let stats = stream.stats();
+    let stats = session.stats();
+    let advisor = session.advisor();
     writeln!(
         out,
         "ingest: lines={} parsed={} skipped_sql={} skipped_malformed={} bytes={} windows={} triggers={}",
@@ -652,88 +616,8 @@ fn cmd_ingest(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
         }
         eprintln!(
             "ingest: {mb:.2} MB in {secs:.3} s ({mb_per_s:.1} MB/s), {} cache resets",
-            stream.cache_resets()
+            session.cache_resets()
         );
-    }
-    Ok(())
-}
-
-/// Queued audit plus the redesign inputs captured at trigger time.
-type PendingAudit = (WindowAudit, Option<(Workload, Vec<Arc<Query>>)>);
-
-/// Folds one parsed arrival into the advisor and queues any closed-window
-/// audits, capturing the redesign inputs (`W0` and the historical pool) at
-/// the moment a trigger fires.
-fn observe_into(
-    advisor: &mut OnlineAdvisor,
-    pending: &mut Vec<PendingAudit>,
-    run_designs: bool,
-    ts: u64,
-    q: &Arc<Query>,
-) {
-    for audit in advisor.observe(ts, q) {
-        push_audit(advisor, pending, run_designs, audit);
-    }
-}
-
-/// Queues one closed-window audit (see [`observe_into`]).
-fn push_audit(
-    advisor: &mut OnlineAdvisor,
-    pending: &mut Vec<PendingAudit>,
-    run_designs: bool,
-    audit: WindowAudit,
-) {
-    let action = (audit.triggered && run_designs).then(|| {
-        (
-            advisor.last_window().cloned().unwrap_or_default(),
-            advisor.design_pool(),
-        )
-    });
-    pending.push((audit, action));
-}
-
-/// Prints the queued window audits and runs the redesign captured at each
-/// trigger (the same resilient session as `cliffguard design`).
-fn flush_window_audits(
-    out: &mut impl std::io::Write,
-    pending: &mut Vec<PendingAudit>,
-    engine: &ColumnarEngine,
-    budget: u64,
-    plan: &Option<FaultPlan>,
-    clock: &SessionClock,
-) -> Result<(), String> {
-    for (audit, action) in pending.drain(..) {
-        writeln!(out, "{}", audit.line()).map_err(|e| format!("write stdout: {e}"))?;
-        let Some((w0, pool)) = action else {
-            continue;
-        };
-        if w0.is_empty() {
-            continue;
-        }
-        let metric = DeltaEuclidean::new(engine.catalog().column_count());
-        let nominal = GreedyDesigner::new(engine, ColumnarCandidates, "DBD");
-        let options = SessionOptions {
-            clock: clock.clone(),
-            ..SessionOptions::default()
-        };
-        let config = CliffGuardConfig::new(audit.gamma.max(0.0));
-        let designer = session_designer(&nominal, plan.as_ref(), clock);
-        let (design, trace) = DesignSession::new(engine, designer, metric, config, options)
-            .map_err(|e| format!("bad configuration: {e}"))?
-            .run(&w0, budget, &pool)
-            .into_design();
-        writeln!(
-            out,
-            "T{} projections={} bytes={} designer_calls={} retries={} faults={} degraded={}",
-            audit.index,
-            design.len(),
-            design.price_bytes(engine.catalog()),
-            trace.designer_calls,
-            trace.retries,
-            trace.faults,
-            u8::from(trace.degraded.is_some()),
-        )
-        .map_err(|e| format!("write stdout: {e}"))?;
     }
     Ok(())
 }
@@ -978,7 +862,7 @@ fn cmd_evaluate(opts: &Flags) -> Result<(), String> {
         &metric,
         &eval_opts,
         "CliffGuard",
-        &CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 7),
+        &CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, 7),
     );
     Ok(())
 }

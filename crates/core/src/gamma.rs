@@ -24,6 +24,11 @@ pub enum GammaPolicy {
 }
 
 impl GammaPolicy {
+    /// The default Γ, the paper's k × max rule with k = 1.5: one and a half
+    /// times the largest past inter-window distance (Section 3). Every
+    /// `gamma: auto` resolves through it.
+    pub const AUTO: Self = GammaPolicy::KMaxPastDeltas(1.5);
+
     /// Resolves the policy against the observed history of inter-window
     /// distances (empty history yields 0 ⇒ nominal behavior).
     pub fn resolve(&self, past_deltas: &[f64]) -> f64 {

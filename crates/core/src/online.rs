@@ -31,12 +31,18 @@
 //!    the configured [`GammaPolicy`]).
 //!
 //! A trigger *disarms* the advisor. It re-arms only once a window closes
-//! with `δ ≤ rearm_ratio · Γ` after the cooldown has drained — so drift
-//! that oscillates around Γ produces exactly one redesign per excursion,
-//! not one per oscillation. Each closed window yields a [`WindowAudit`]
-//! whose [`line`](WindowAudit::line) rendering encodes δ and Γ as IEEE-754
-//! bit patterns: two runs are equivalent iff their audit texts are
+//! with `δ ≤ Γ` after the cooldown has drained — so drift that stays above
+//! Γ produces exactly one redesign per excursion, not one per window (a
+//! NaN δ never re-arms). Each closed window yields a [`WindowAudit`] whose
+//! [`line`](WindowAudit::line) rendering encodes δ and Γ as IEEE-754 bit
+//! patterns: two runs are equivalent iff their audit texts are
 //! byte-identical.
+//!
+//! A redesign runs on the window that fired
+//! ([`last_window`](OnlineAdvisor::last_window)) and the ones before it
+//! ([`design_pool`](OnlineAdvisor::design_pool)). One arrival can close
+//! several windows, each close rotating those, so a caller reads them in
+//! [`observe_with`](OnlineAdvisor::observe_with)'s per-close callback.
 //!
 //! # Determinism
 //!
@@ -104,11 +110,9 @@ pub struct OnlineAdvisorConfig {
     /// Windows that must close before the first trigger may fire (≥ 1; δ
     /// exists only from the second window on).
     pub warmup: usize,
-    /// Window closes suppressed after each trigger.
+    /// Window closes suppressed after each trigger; a disarmed advisor
+    /// re-arms at the first post-cooldown close with `δ ≤ Γ`.
     pub cooldown: usize,
-    /// Re-arm once a post-cooldown window closes with
-    /// `δ ≤ rearm_ratio · Γ`.
-    pub rearm_ratio: f64,
     /// Closed windows retained as the historical pool for redesigns.
     pub history: usize,
     /// Past δ values retained for Γ resolution (bounds memory on an
@@ -117,17 +121,16 @@ pub struct OnlineAdvisorConfig {
 }
 
 impl OnlineAdvisorConfig {
-    /// Sensible defaults: 64-arrival windows, auto Γ (1.5 × max past δ),
-    /// warmup 1, cooldown 1, re-arm at Γ, 4-window pool.
+    /// Sensible defaults: 64-arrival windows, [`GammaPolicy::AUTO`] (1.5 ×
+    /// max past δ), warmup 1, cooldown 1, 4-window pool.
     pub fn new(n_columns: usize) -> Self {
         Self {
             window: WindowPolicy::Count(64),
-            gamma: GammaPolicy::KMaxPastDeltas(1.5),
+            gamma: GammaPolicy::AUTO,
             n_columns,
             mask: ClauseMask::SWGO,
             warmup: 1,
             cooldown: 1,
-            rearm_ratio: 1.0,
             history: 4,
             delta_history: 64,
         }
@@ -382,6 +385,20 @@ impl OnlineAdvisor {
     /// several empty windows at once).
     pub fn observe(&mut self, timestamp: u64, query: &Arc<Query>) -> Vec<WindowAudit> {
         let mut audits = Vec::new();
+        self.observe_with(timestamp, query, &mut |_, audit| audits.push(audit));
+        audits
+    }
+
+    /// [`observe`](Self::observe), handing each close's audit to
+    /// `on_close` together with the advisor as that close left it, before
+    /// the arrival's next close (if any) rotates the windows again. The
+    /// callback runs only at a close.
+    pub fn observe_with(
+        &mut self,
+        timestamp: u64,
+        query: &Arc<Query>,
+        on_close: &mut impl FnMut(&Self, WindowAudit),
+    ) {
         // Time-based windows close *before* the arrival that overruns them
         // is attributed to the new window.
         match self.config.window {
@@ -398,7 +415,8 @@ impl OnlineAdvisor {
                     if timestamp < end {
                         break;
                     }
-                    audits.push(self.close_window());
+                    let audit = self.close_window();
+                    on_close(self, audit);
                     closed += 1;
                     if closed > MAX_WINDOW_CLOSES_PER_ARRIVAL {
                         // Implausibly far jump: skip the anchor straight to
@@ -422,7 +440,8 @@ impl OnlineAdvisor {
                     if elapsed < ms {
                         break;
                     }
-                    audits.push(self.close_window());
+                    let audit = self.close_window();
+                    on_close(self, audit);
                     closed += 1;
                     if closed > MAX_WINDOW_CLOSES_PER_ARRIVAL {
                         // A huge clock jump (e.g. a long-suspended host):
@@ -445,10 +464,10 @@ impl OnlineAdvisor {
         self.open.add(query);
         if let WindowPolicy::Count(n) = self.config.window {
             if self.open.arrivals >= n.max(1) as u64 {
-                audits.push(self.close_window());
+                let audit = self.close_window();
+                on_close(self, audit);
             }
         }
-        audits
     }
 
     /// Closes the open window if it holds any arrivals (end of stream).
@@ -482,7 +501,7 @@ impl OnlineAdvisor {
                     self.cooldown_left = self.config.cooldown as u64;
                     self.triggers.push(index);
                 }
-            } else if self.cooldown_left == 0 && d <= self.config.rearm_ratio * gamma {
+            } else if self.cooldown_left == 0 && d <= gamma {
                 self.armed = true;
             }
             if !triggered && self.cooldown_left > 0 {
@@ -635,11 +654,6 @@ impl OnlineAdvisor {
         self.open.arrivals
     }
 
-    /// Retained past δ values, oldest first.
-    pub fn past_deltas(&self) -> impl Iterator<Item = f64> + '_ {
-        self.past_deltas.iter().copied()
-    }
-
     /// The advisor's configuration.
     pub fn config(&self) -> &OnlineAdvisorConfig {
         &self.config
@@ -771,6 +785,25 @@ mod tests {
         assert_eq!(audits[1].arrivals, 0);
         assert_eq!(audits[2].arrivals, 0);
         assert_eq!(adv.open_arrivals(), 1);
+    }
+
+    #[test]
+    fn observe_with_hands_over_each_close_before_the_next() {
+        // One arrival past a log-time gap closes the open window and pads
+        // two empty ones; each callback sees its own close as the last
+        // window, not the arrival's final state.
+        let mut cfg = config(0);
+        cfg.window = WindowPolicy::LogTime(100);
+        let mut adv = OnlineAdvisor::new(cfg, SessionClock::virtual_clock());
+        let query = q(&[1]);
+        assert!(adv.observe(10, &query).is_empty());
+        assert!(adv.observe(50, &query).is_empty());
+        let mut seen = Vec::new();
+        adv.observe_with(350, &query, &mut |adv, audit| {
+            let w0 = adv.last_window().map_or(0.0, Workload::total_weight);
+            seen.push((audit.index, audit.arrivals, w0));
+        });
+        assert_eq!(seen, vec![(0, 2, 2.0), (1, 0, 0.0), (2, 0, 0.0)]);
     }
 
     #[test]

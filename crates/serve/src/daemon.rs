@@ -502,6 +502,7 @@ impl Daemon {
     /// `eof` the session is finalized and its snapshot removed.
     fn handle_ingest(&mut self, seq: u64, req: IngestRequest) -> Response {
         let tenant = req.tenant.clone();
+        let mut snapshot = None;
         if req.catalog.is_some() {
             // Session reset: the frame's catalog and knobs win over any
             // stale state for this tenant.
@@ -509,51 +510,38 @@ impl Daemon {
             if let Some(store) = &self.store {
                 let _ = store.remove_ingest(&tenant);
             }
-            match IngestSession::create(&req, session_clock(self.config.virtual_time)) {
-                Ok(session) => {
-                    self.tenants.stats_mut(&tenant).admitted += 1;
-                    self.ingests.insert(tenant.clone(), session);
-                }
-                Err(reason) => return Response::Error { seq, reason },
-            }
         } else if !self.ingests.contains_key(&tenant) {
             // Lazily reload a snapshot a previous daemon persisted: the
             // resumed session replays the rest of the tape bit-identically
             // to an uninterrupted run.
-            let loaded = self
-                .store
-                .as_ref()
-                .and_then(|s| s.load_ingest(&tenant))
-                .map(|json| {
-                    IngestSession::from_json(&json, session_clock(self.config.virtual_time))
-                });
-            match loaded {
-                Some(Ok(session)) => {
-                    self.tenants.stats_mut(&tenant).resumed += 1;
+            snapshot = self.store.as_ref().and_then(|s| s.load_ingest(&tenant));
+        }
+        if !self.ingests.contains_key(&tenant) {
+            let clock = session_clock(self.config.virtual_time);
+            // Without a catalog, `create` yields the canonical "first
+            // frame must carry a catalog" error.
+            let opened = match &snapshot {
+                Some(json) => IngestSession::from_json(json, clock)
+                    .map_err(|e| format!("ingest: corrupt snapshot for `{tenant}`: {e}")),
+                None => IngestSession::create(&req, clock),
+            };
+            match opened {
+                Ok(session) => {
+                    let stats = self.tenants.stats_mut(&tenant);
+                    if snapshot.is_some() {
+                        stats.resumed += 1;
+                    } else {
+                        stats.admitted += 1;
+                    }
                     self.ingests.insert(tenant.clone(), session);
                 }
-                Some(Err(e)) => {
-                    return Response::Error {
-                        seq,
-                        reason: format!("ingest: corrupt snapshot for `{tenant}`: {e}"),
-                    };
-                }
-                // `create` without a catalog yields the canonical
-                // "first frame must carry a catalog" error.
-                None => {
-                    match IngestSession::create(&req, session_clock(self.config.virtual_time)) {
-                        Ok(session) => {
-                            self.tenants.stats_mut(&tenant).admitted += 1;
-                            self.ingests.insert(tenant.clone(), session);
-                        }
-                        Err(reason) => return Response::Error { seq, reason },
-                    }
-                }
+                Err(reason) => return Response::Error { seq, reason },
             }
         }
         let session = self.ingests.get_mut(&tenant).expect("just inserted");
-        let audits = session.feed(&req.chunk, req.eof);
-        for audit in &audits {
+        let closed = session.feed(req.chunk.as_bytes(), req.eof);
+        // The daemon reports triggers; it does not run their redesigns.
+        for audit in closed.iter().map(|w| &w.audit) {
             telemetry::event(Level::Info, "cliffguard.serve.ingest.window")
                 .u64("seq", seq)
                 .str("tenant", &tenant)
@@ -567,7 +555,7 @@ impl Daemon {
             seq,
             tenant: tenant.clone(),
             windows: advisor.windows_closed(),
-            audits: audits.iter().map(|a| a.line()).collect(),
+            audits: closed.iter().map(|w| w.audit.line()).collect(),
             triggers: advisor.triggers().to_vec(),
             armed: advisor.armed(),
             cooldown: advisor.cooldown_left(),

@@ -1,26 +1,38 @@
-//! Per-tenant streaming-ingest sessions behind the `ingest` verb.
+//! Per-tenant streaming-ingest sessions: the one observe → trigger →
+//! redesign loop behind the daemon's `ingest` verb and `cliffguard ingest`.
 //!
 //! An [`IngestSession`] pairs a [`LogStream`] (chunked statement
 //! splitting + parse cache) with an [`OnlineAdvisor`] (sliding windows,
-//! incremental δ, Γ trigger) for one tenant. The daemon feeds it each
-//! `ingest` frame synchronously — no worker pool, no drain barrier — and
-//! persists [`to_json`](IngestSession::to_json) after every frame, so a
-//! killed daemon restarted on the same state directory resumes the
-//! session mid-stream and replays the remaining chunks to a
-//! byte-identical window-audit and trigger history.
+//! incremental δ, Γ trigger) for one tenant. [`feed`](IngestSession::feed)
+//! takes raw bytes and returns every window it closed, with the inputs of
+//! a redesign captured at the close that fired it;
+//! [`redesign`](IngestSession::redesign) runs that redesign. The CLI
+//! feeds one read at a time and redesigns at each trigger. The daemon
+//! feeds each `ingest` frame synchronously — no worker pool, no drain
+//! barrier — reports triggers without redesigning, and persists
+//! [`to_json`](IngestSession::to_json) after every frame, so a killed
+//! daemon restarted on the same state directory resumes the session
+//! mid-stream and replays the remaining chunks to a byte-identical
+//! window-audit and trigger history.
 //!
 //! The persistence surface is exact by construction: window workloads are
 //! integer-weighted (raw counts survive JSON), δ history travels as
 //! IEEE-754 bit patterns, and the stream carry is a byte array (a chunk
-//! may end mid-UTF-8-sequence, so it is *not* a JSON string).
+//! may end mid-UTF-8-sequence, so it is *not* a JSON string). A snapshot
+//! is restored through the same knob rule as a frame
+//! ([`IngestRequest::advisor_config`]), so a corrupt one is refused, not
+//! altered.
 
 use crate::protocol::{GammaSpec, IngestRequest};
 use cliffguard_core::gamma::GammaPolicy;
 use cliffguard_core::{
-    AdvisorSnapshot, OnlineAdvisor, OnlineAdvisorConfig, WindowAudit, WindowPolicy,
-    DEFAULT_INTERN_CAPACITY,
+    AdvisorSnapshot, CliffGuardConfig, CliffGuardTrace, DesignSession, OnlineAdvisor,
+    SessionOptions, WindowAudit, WindowPolicy, DEFAULT_INTERN_CAPACITY,
 };
-use cliffguard_resilience::SessionClock;
+use cliffguard_designer::{ColumnarCandidates, GreedyDesigner};
+use cliffguard_distance::DeltaEuclidean;
+use cliffguard_resilience::{session_designer, FaultPlan, SessionClock};
+use cliffguard_sim::{ColumnarDesign, ColumnarEngine, Engine};
 use cliffguard_storage::Catalog;
 use cliffguard_workload::{LogStream, Query, StreamStats, Workload};
 use serde::{map_get, Deserialize, Serialize, Value};
@@ -33,7 +45,9 @@ pub struct IngestSession {
     /// The catalog as received on the wire, persisted verbatim so the
     /// snapshot re-parses with identical inputs.
     catalog_value: Value,
-    catalog: Catalog,
+    /// The cost model over the catalog: the stream's name resolver and
+    /// the redesigns' engine.
+    engine: ColumnarEngine,
     stream: LogStream,
     advisor: OnlineAdvisor,
     /// Interner-compaction threshold (distinct queries); once the
@@ -43,10 +57,45 @@ pub struct IngestSession {
     intern_capacity: usize,
 }
 
+/// A window that one [`feed`](IngestSession::feed) closed.
+#[derive(Debug)]
+pub struct ClosedWindow {
+    /// The window's audit.
+    pub audit: WindowAudit,
+    /// What a redesign at this window runs on: `Some` when the window
+    /// fired and holds arrivals (an empty window, padded over a log-time
+    /// gap, has nothing to design for).
+    pub trigger: Option<TriggerInputs>,
+}
+
+/// The inputs of a triggered redesign, captured at the close that fired.
+#[derive(Debug)]
+pub struct TriggerInputs {
+    /// The window that fired, the redesign's `W0`.
+    pub w0: Workload,
+    /// The retained windows before it, deduplicated: the historical pool.
+    pub pool: Vec<Arc<Query>>,
+}
+
+impl ClosedWindow {
+    /// `audit`, with the redesign inputs read off `advisor` as its close
+    /// left it.
+    fn capture(advisor: &OnlineAdvisor, audit: WindowAudit) -> Self {
+        let trigger = advisor
+            .last_window()
+            .filter(|w0| audit.triggered && !w0.is_empty())
+            .map(|w0| TriggerInputs {
+                w0: w0.clone(),
+                pool: advisor.design_pool(),
+            });
+        Self { audit, trigger }
+    }
+}
+
 impl IngestSession {
     /// Opens a session from its first frame. Fails (with a wire-ready
     /// reason) when the frame carries no catalog, a bad catalog, or
-    /// drift knobs the advisor rejects.
+    /// knobs the knob rule refuses.
     pub fn create(req: &IngestRequest, clock: SessionClock) -> Result<Self, String> {
         let Some(catalog_value) = &req.catalog else {
             return Err(format!(
@@ -57,11 +106,11 @@ impl IngestSession {
         let mut catalog =
             Catalog::from_value(catalog_value).map_err(|e| format!("ingest: bad catalog: {e}"))?;
         catalog.rebuild_index();
-        let config = advisor_config(&catalog, req);
+        let config = req.advisor_config(catalog.column_count())?;
         Ok(Self {
             tenant: req.tenant.clone(),
             catalog_value: catalog_value.clone(),
-            catalog,
+            engine: ColumnarEngine::new(catalog),
             stream: LogStream::new(),
             advisor: OnlineAdvisor::new(config, clock),
             intern_capacity: DEFAULT_INTERN_CAPACITY,
@@ -73,21 +122,31 @@ impl IngestSession {
         &self.tenant
     }
 
-    /// Feeds one chunk (boundaries may fall anywhere); `eof` flushes the
-    /// trailing partial line and closes the open window. Returns the
-    /// audits of every window this frame closed, in close order.
-    pub fn feed(&mut self, chunk: &str, eof: bool) -> Vec<WindowAudit> {
-        let mut audits = Vec::new();
-        let advisor = &mut self.advisor;
+    /// Feeds one chunk of log bytes (boundaries may fall anywhere, even
+    /// mid-UTF-8 sequence); `eof` flushes the trailing partial line and
+    /// closes the open window. Returns every window this call closed, in
+    /// close order.
+    pub fn feed(&mut self, chunk: &[u8], eof: bool) -> Vec<ClosedWindow> {
+        let mut closed = Vec::new();
         {
-            let mut sink = |ts: u64, _id, q: &Arc<Query>| audits.extend(advisor.observe(ts, q));
-            self.stream.feed(chunk.as_bytes(), &self.catalog, &mut sink);
+            // A redesign's inputs are read inside the close: one arrival
+            // can close several windows, and each close rotates them.
+            let mut on_close =
+                |advisor: &OnlineAdvisor, audit| closed.push(ClosedWindow::capture(advisor, audit));
+            let advisor = &mut self.advisor;
+            let mut sink =
+                |ts: u64, _id, q: &Arc<Query>| advisor.observe_with(ts, q, &mut on_close);
+            self.stream.feed(chunk, self.engine.catalog(), &mut sink);
             if eof {
-                self.stream.finish(&self.catalog, &mut sink);
+                self.stream.finish(self.engine.catalog(), &mut sink);
             }
         }
         if eof {
-            audits.extend(advisor.finish());
+            // The partial trailing window closes exactly as a full one
+            // would (it can trigger too).
+            if let Some(audit) = self.advisor.finish() {
+                closed.push(ClosedWindow::capture(&self.advisor, audit));
+            }
         }
         // Bound the intern table across an unbounded tape: compaction is
         // invisible to the audit stream (dropped statements re-parse and
@@ -95,7 +154,34 @@ impl IngestSession {
         // memory flat without perturbing determinism.
         self.advisor
             .compact_stream(&mut self.stream, self.intern_capacity);
-        audits
+        closed
+    }
+
+    /// Runs the resilient redesign a fired window asks for, at the
+    /// window's resolved Γ: the session `cliffguard design` runs (the
+    /// greedy DBD designer behind the fault plan's injector, δ over the
+    /// catalog's columns), on `inputs`' `W0` and pool, on `clock`.
+    pub fn redesign(
+        &self,
+        inputs: &TriggerInputs,
+        gamma: f64,
+        budget: u64,
+        faults: Option<&FaultPlan>,
+        clock: &SessionClock,
+    ) -> Result<(ColumnarDesign, CliffGuardTrace), String> {
+        let metric = DeltaEuclidean::new(self.engine.catalog().column_count());
+        let nominal = GreedyDesigner::new(&self.engine, ColumnarCandidates, "DBD");
+        let options = SessionOptions {
+            clock: clock.clone(),
+            ..SessionOptions::default()
+        };
+        let config = CliffGuardConfig::new(gamma.max(0.0));
+        let designer = session_designer(&nominal, faults, clock);
+        let designed = DesignSession::new(&self.engine, designer, metric, config, options)
+            .map_err(|e| format!("bad configuration: {e}"))?
+            .run(&inputs.w0, budget, &inputs.pool)
+            .into_design();
+        Ok(designed)
     }
 
     /// Overrides the interner-compaction threshold (tests use a tiny
@@ -109,6 +195,11 @@ impl IngestSession {
         self.stream.interner().len()
     }
 
+    /// The cost model over the session's catalog.
+    pub fn engine(&self) -> &ColumnarEngine {
+        &self.engine
+    }
+
     /// The drift advisor (trigger history, armed state, window count).
     pub fn advisor(&self) -> &OnlineAdvisor {
         &self.advisor
@@ -117,6 +208,11 @@ impl IngestSession {
     /// The stream's parse counters.
     pub fn stats(&self) -> &StreamStats {
         self.stream.stats()
+    }
+
+    /// How many times the stream's statement cache hit its bound.
+    pub fn cache_resets(&self) -> u64 {
+        self.stream.cache_resets()
     }
 
     /// Serializes the session's restorable state as one JSON document.
@@ -130,7 +226,9 @@ impl IngestSession {
         match cfg.window {
             WindowPolicy::Count(n) => m.push(("window_count".into(), Value::U64(n as u64))),
             WindowPolicy::LogTime(s) => m.push(("window_log_secs".into(), Value::U64(s))),
-            WindowPolicy::ClockTime(s) => m.push(("window_clock_secs".into(), Value::U64(s))),
+            WindowPolicy::ClockTime(_) => {
+                unreachable!("the knob rule builds count and log-time windows only")
+            }
         }
         match cfg.gamma {
             GammaPolicy::Fixed(g) => m.push(("gamma_bits".into(), Value::U64(g.to_bits()))),
@@ -139,30 +237,8 @@ impl IngestSession {
         }
         m.push(("warmup".into(), Value::U64(cfg.warmup as u64)));
         m.push(("cooldown".into(), Value::U64(cfg.cooldown as u64)));
-        m.push((
-            "carry".into(),
-            Value::Seq(
-                self.stream
-                    .carry()
-                    .iter()
-                    .map(|&b| Value::U64(b as u64))
-                    .collect(),
-            ),
-        ));
-        let stats = self.stream.stats();
-        m.push((
-            "stats".into(),
-            Value::Map(vec![
-                ("parsed".into(), Value::U64(stats.parsed)),
-                ("skipped_sql".into(), Value::U64(stats.skipped_sql)),
-                (
-                    "skipped_malformed".into(),
-                    Value::U64(stats.skipped_malformed),
-                ),
-                ("lines".into(), Value::U64(stats.lines)),
-                ("bytes".into(), Value::U64(stats.bytes)),
-            ]),
-        ));
+        m.push(("carry".into(), self.stream.carry().to_value()));
+        m.push(("stats".into(), self.stream.stats().to_value()));
         m.push((
             "cache_resets".into(),
             Value::U64(self.stream.cache_resets()),
@@ -174,88 +250,47 @@ impl IngestSession {
         serde_json::to_string(&Value::Map(m)).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
     }
 
-    /// Rebuilds a session from [`to_json`](Self::to_json). The restored
-    /// advisor state is bit-identical to the live one (integer window
-    /// counts, bit-pattern δ history), so replaying the remaining chunks
-    /// yields the same audits and triggers as an uninterrupted run.
+    /// Rebuilds a session from [`to_json`](Self::to_json). The snapshot's
+    /// knobs go through [`create`](Self::create), and so through the knob
+    /// rule; a carry byte above 255 is refused. The restored advisor
+    /// state is bit-identical to the live one (integer window counts,
+    /// bit-pattern δ history), so replaying the remaining chunks yields
+    /// the same audits and triggers as an uninterrupted run.
     pub fn from_json(json: &str, clock: SessionClock) -> Result<Self, String> {
         let v: Value = serde_json::from_str(json).map_err(|e| format!("bad JSON: {e}"))?;
         let m = v.as_map().ok_or("snapshot must be a JSON object")?;
-        let version = u64::from_value(map_get(m, "version")).map_err(|e| e.to_string())?;
+        let u = |key: &str| u64::from_value(map_get(m, key)).map_err(|e| e.to_string());
+        let version = u("version")?;
         if version != 1 {
             return Err(format!("unsupported ingest snapshot version {version}"));
         }
         let tenant = String::from_value(map_get(m, "tenant")).map_err(|e| e.to_string())?;
-        let catalog_value = map_get(m, "catalog").clone();
-        let mut catalog =
-            Catalog::from_value(&catalog_value).map_err(|e| format!("bad catalog: {e}"))?;
-        catalog.rebuild_index();
+        // The knobs of the frame that opened the session.
+        let mut knobs = IngestRequest::new(tenant, map_get(m, "catalog").clone(), "");
+        let window = |key: &str| Option::from_value(map_get(m, key)).map_err(|e| e.to_string());
+        knobs.window = window("window_count")?;
+        knobs.window_secs = window("window_log_secs")?;
+        if knobs.window.is_none() && knobs.window_secs.is_none() {
+            return Err("snapshot carries no window policy".into());
+        }
+        if let Value::U64(bits) = map_get(m, "gamma_bits") {
+            knobs.gamma = GammaSpec::Fixed(f64::from_bits(*bits));
+        }
+        knobs.warmup = u("warmup")?;
+        knobs.cooldown = u("cooldown")?;
 
-        let mut config = OnlineAdvisorConfig::new(catalog.column_count());
-        config.window = match (
-            map_get(m, "window_count"),
-            map_get(m, "window_log_secs"),
-            map_get(m, "window_clock_secs"),
-        ) {
-            (Value::U64(n), ..) => WindowPolicy::Count(*n as usize),
-            (_, Value::U64(s), _) => WindowPolicy::LogTime(*s),
-            (_, _, Value::U64(s)) => WindowPolicy::ClockTime(*s),
-            _ => return Err("snapshot carries no window policy".into()),
-        };
-        config.gamma = match map_get(m, "gamma_bits") {
-            Value::U64(bits) => GammaPolicy::Fixed(f64::from_bits(*bits)),
-            _ => GammaPolicy::KMaxPastDeltas(1.5),
-        };
-        config.warmup = u64::from_value(map_get(m, "warmup")).map_err(|e| e.to_string())? as usize;
-        config.cooldown =
-            u64::from_value(map_get(m, "cooldown")).map_err(|e| e.to_string())? as usize;
-
-        let carry: Vec<u64> = Vec::from_value(map_get(m, "carry")).map_err(|e| e.to_string())?;
-        let carry: Vec<u8> = carry.into_iter().map(|b| b as u8).collect();
-        let sm = map_get(m, "stats")
-            .as_map()
-            .ok_or("snapshot stats must be an object")?;
-        let stat = |key: &str| u64::from_value(map_get(sm, key)).map_err(|e| e.to_string());
-        let stats = StreamStats {
-            parsed: stat("parsed")?,
-            skipped_sql: stat("skipped_sql")?,
-            skipped_malformed: stat("skipped_malformed")?,
-            lines: stat("lines")?,
-            bytes: stat("bytes")?,
-        };
-        let cache_resets =
-            u64::from_value(map_get(m, "cache_resets")).map_err(|e| e.to_string())?;
+        let carry: Vec<u8> =
+            Vec::from_value(map_get(m, "carry")).map_err(|e| format!("carry: {e}"))?;
+        let stats =
+            StreamStats::from_value(map_get(m, "stats")).map_err(|e| format!("stats: {e}"))?;
+        let cache_resets = u("cache_resets")?;
         let snapshot = snapshot_from_value(map_get(m, "advisor"))?;
-        Ok(Self {
-            tenant,
-            catalog_value,
-            catalog,
-            stream: LogStream::restore(carry, stats, cache_resets),
-            advisor: OnlineAdvisor::restore(config, clock, snapshot),
-            intern_capacity: DEFAULT_INTERN_CAPACITY,
-        })
+        let mut session = Self::create(&knobs, clock.clone())?;
+        session.stream = LogStream::restore(carry, stats, cache_resets);
+        let config = session.advisor.config().clone();
+        session.advisor = OnlineAdvisor::restore(config, clock, snapshot);
+        Ok(session)
     }
-}
-
-/// Maps the wire knobs onto an advisor config over `catalog`'s columns.
-fn advisor_config(catalog: &Catalog, req: &IngestRequest) -> OnlineAdvisorConfig {
-    let mut config = OnlineAdvisorConfig::new(catalog.column_count());
-    config.window = match (req.window, req.window_secs) {
-        (Some(n), _) => WindowPolicy::Count(n as usize),
-        (None, Some(s)) => WindowPolicy::LogTime(s),
-        (None, None) => WindowPolicy::Count(64),
-    };
-    config.gamma = match req.gamma {
-        GammaSpec::Auto => GammaPolicy::KMaxPastDeltas(1.5),
-        GammaSpec::Fixed(g) => GammaPolicy::Fixed(g),
-    };
-    config.warmup = req.warmup as usize;
-    config.cooldown = req.cooldown as usize;
-    config
-}
-
-fn workload_to_value(w: &Workload) -> Value {
-    w.to_value()
 }
 
 fn workload_from_value(v: &Value) -> Result<Workload, String> {
@@ -269,7 +304,7 @@ fn workload_from_value(v: &Value) -> Result<Workload, String> {
 fn snapshot_to_value(s: &AdvisorSnapshot) -> Value {
     Value::Map(vec![
         ("window_index".into(), Value::U64(s.window_index)),
-        ("current".into(), workload_to_value(&s.current)),
+        ("current".into(), s.current.to_value()),
         (
             "window_start_ts".into(),
             match s.window_start_ts {
@@ -290,13 +325,13 @@ fn snapshot_to_value(s: &AdvisorSnapshot) -> Value {
         (
             "prev".into(),
             match &s.prev {
-                Some(w) => workload_to_value(w),
+                Some(w) => w.to_value(),
                 None => Value::Null,
             },
         ),
         (
             "history".into(),
-            Value::Seq(s.history.iter().map(workload_to_value).collect()),
+            Value::Seq(s.history.iter().map(Workload::to_value).collect()),
         ),
         (
             // δ values as bit patterns: the Γ resolution a resumed run
@@ -394,12 +429,12 @@ mod tests {
         let (catalog, tape) = small_fixture();
         let req = first_frame("acme", catalog, &tape);
         let mut sess = IngestSession::create(&req, SessionClock::virtual_clock()).unwrap();
-        let audits = sess.feed(tape.text(), true);
+        let audits = sess.feed(tape.text().as_bytes(), true);
         assert_eq!(audits.len(), tape.config().windows);
         let fired: Vec<u64> = audits
             .iter()
-            .filter(|a| a.triggered)
-            .map(|a| a.index)
+            .filter(|w| w.audit.triggered)
+            .map(|w| w.audit.index)
             .collect();
         assert_eq!(fired, vec![3], "exactly the episode window fires");
         assert_eq!(sess.advisor().triggers(), &[3]);
@@ -417,7 +452,10 @@ mod tests {
 
         let want: Vec<String> = {
             let mut s = IngestSession::create(&req, SessionClock::virtual_clock()).unwrap();
-            s.feed(text, true).iter().map(|a| a.line()).collect()
+            s.feed(text.as_bytes(), true)
+                .iter()
+                .map(|w| w.audit.line())
+                .collect()
         };
 
         // Kill after an awkward split (mid-line; the tape is ASCII, so any
@@ -425,15 +463,20 @@ mod tests {
         let cut = text.len() / 2 + 3;
         let mut first = IngestSession::create(&req, SessionClock::virtual_clock()).unwrap();
         let mut got: Vec<String> = first
-            .feed(&text[..cut], false)
+            .feed(&text.as_bytes()[..cut], false)
             .iter()
-            .map(|a| a.line())
+            .map(|w| w.audit.line())
             .collect();
         let json = first.to_json();
         drop(first);
         let mut resumed = IngestSession::from_json(&json, SessionClock::virtual_clock()).unwrap();
         assert_eq!(resumed.tenant(), "acme");
-        got.extend(resumed.feed(&text[cut..], true).iter().map(|a| a.line()));
+        got.extend(
+            resumed
+                .feed(&text.as_bytes()[cut..], true)
+                .iter()
+                .map(|w| w.audit.line()),
+        );
         assert_eq!(got, want, "kill/resume must replay byte-identically");
         assert_eq!(resumed.advisor().triggers(), &[3]);
     }
@@ -458,7 +501,11 @@ mod tests {
         let req = first_frame("acme", catalog, &tape);
 
         let mut plain = IngestSession::create(&req, SessionClock::virtual_clock()).unwrap();
-        let want: Vec<String> = plain.feed(text, true).iter().map(|a| a.line()).collect();
+        let want: Vec<String> = plain
+            .feed(text.as_bytes(), true)
+            .iter()
+            .map(|w| w.audit.line())
+            .collect();
 
         // A tiny compaction bound, fed in small frames so the bound is
         // crossed mid-stream: the intern table stays below the plain
@@ -467,10 +514,9 @@ mod tests {
         tight.set_intern_capacity(2);
         let mut got: Vec<String> = Vec::new();
         for chunk in text.as_bytes().chunks(64) {
-            let chunk = std::str::from_utf8(chunk).unwrap();
-            got.extend(tight.feed(chunk, false).iter().map(|a| a.line()));
+            got.extend(tight.feed(chunk, false).iter().map(|w| w.audit.line()));
         }
-        got.extend(tight.feed("", true).iter().map(|a| a.line()));
+        got.extend(tight.feed(&[], true).iter().map(|w| w.audit.line()));
         assert_eq!(got, want, "compaction must be invisible to the audits");
         assert!(
             tight.interned_queries() < plain.interned_queries(),
@@ -494,6 +540,43 @@ mod tests {
                 IngestSession::from_json(bad, SessionClock::virtual_clock()).is_err(),
                 "must reject: {bad}"
             );
+        }
+
+        // A live snapshot with one field corrupted is refused, not
+        // altered: no carry byte wraps, and the knob rule holds.
+        let (catalog, tape) = small_fixture();
+        let req = first_frame("acme", catalog, &tape);
+        let mut live = IngestSession::create(&req, SessionClock::virtual_clock()).unwrap();
+        let text = tape.text().as_bytes();
+        live.feed(&text[..text.len() / 2 + 3], false);
+        let json = live.to_json();
+        assert!(IngestSession::from_json(&json, SessionClock::virtual_clock()).is_ok());
+        let with = |key: &str, value: Value| {
+            let Ok(Value::Map(mut m)) = serde_json::from_str::<Value>(&json) else {
+                panic!("a snapshot is a JSON object");
+            };
+            let slot = m.iter_mut().find(|(k, _)| k == key).expect("key present");
+            slot.1 = value;
+            serde_json::to_string(&Value::Map(m)).unwrap()
+        };
+        for (key, value, why) in [
+            ("carry", Value::Seq(vec![Value::U64(256)]), "carry"),
+            (
+                "gamma_bits",
+                Value::U64(f64::NAN.to_bits()),
+                "gamma must be",
+            ),
+            (
+                "gamma_bits",
+                Value::U64((-1.0f64).to_bits()),
+                "gamma must be",
+            ),
+            ("window_count", Value::U64(0), "window lengths must be"),
+        ] {
+            let err =
+                IngestSession::from_json(&with(key, value.clone()), SessionClock::virtual_clock())
+                    .expect_err(key);
+            assert!(err.contains(why), "{key}={value:?}: {err}");
         }
     }
 }

@@ -55,7 +55,7 @@ pub mod testdata;
 
 pub use daemon::{Daemon, ServeConfig};
 pub use harness::{design_line, HarnessError, ServeHarness};
-pub use ingest::IngestSession;
+pub use ingest::{ClosedWindow, IngestSession, TriggerInputs};
 pub use protocol::{
     parse_request, BudgetSpec, DesignReport, DesignRequest, DesignStatus, FlightInfo, GammaSpec,
     IngestRequest, MetricsFormat, ProtocolError, Request, Response,

@@ -35,6 +35,8 @@
 //! accepts `"auto"` or a plain non-negative number, so `{"gamma":2}` and
 //! `{"gamma":2.0}` both mean Γ = 2 — the two keys are mutually exclusive.
 
+use cliffguard_core::gamma::GammaPolicy;
+use cliffguard_core::{OnlineAdvisorConfig, WindowPolicy};
 use cliffguard_storage::Catalog;
 use cliffguard_workload::{window_secs, SECS_PER_DAY};
 use serde::{map_get, Deserialize, Error as SerdeError, Serialize, Value};
@@ -66,7 +68,8 @@ fn err(msg: impl Into<String>) -> ProtocolError {
 /// Γ for a design request: resolved from drift history or pinned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GammaSpec {
-    /// `"auto"`: 1.5 × the maximum past inter-window δ.
+    /// `"auto"`: [`GammaPolicy::AUTO`], 1.5 × the maximum past
+    /// inter-window δ.
     Auto,
     /// A fixed Γ ≥ 0.
     Fixed(f64),
@@ -173,7 +176,7 @@ pub struct IngestRequest {
     pub window: Option<u64>,
     /// Log-time window length (seconds); exclusive with `window`.
     pub window_secs: Option<u64>,
-    /// Trigger threshold Γ (`auto` = 1.5 × max past inter-window δ).
+    /// Trigger threshold Γ (`auto` = [`GammaPolicy::AUTO`]).
     pub gamma: GammaSpec,
     /// Windows that must close before the first trigger may fire.
     pub warmup: u64,
@@ -211,6 +214,38 @@ impl IngestRequest {
             cooldown: 1,
         }
     }
+
+    /// The drift advisor's configuration under this frame's knobs, over
+    /// `n_columns` columns. This is the one knob rule: the wire,
+    /// `cliffguard ingest` and a restored session snapshot all go through
+    /// it. `window` and `window_secs` are mutually exclusive and each at
+    /// least 1 (neither means 64-arrival windows), and a fixed Γ is finite
+    /// and non-negative.
+    pub fn advisor_config(&self, n_columns: usize) -> Result<OnlineAdvisorConfig, String> {
+        let mut config = OnlineAdvisorConfig::new(n_columns);
+        config.window = match (self.window, self.window_secs) {
+            (Some(_), Some(_)) => return Err("ingest: give window or window_secs, not both".into()),
+            (Some(0), None) | (None, Some(0)) => {
+                return Err("ingest: window lengths must be >= 1".into())
+            }
+            (Some(n), None) => WindowPolicy::Count(saturating(n)),
+            (None, Some(s)) => WindowPolicy::LogTime(s),
+            (None, None) => config.window,
+        };
+        config.gamma = match self.gamma {
+            GammaSpec::Auto => GammaPolicy::AUTO,
+            GammaSpec::Fixed(g) if g.is_finite() && g >= 0.0 => GammaPolicy::Fixed(g),
+            GammaSpec::Fixed(_) => return Err("ingest: gamma must be a finite number >= 0".into()),
+        };
+        config.warmup = saturating(self.warmup);
+        config.cooldown = saturating(self.cooldown);
+        Ok(config)
+    }
+}
+
+/// A wire count as a `usize`, saturating where `usize` is narrower.
+fn saturating(n: u64) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
 }
 
 /// A parsed protocol request.
@@ -448,25 +483,20 @@ fn parse_ingest(m: &[(String, Value)]) -> Result<IngestRequest, ProtocolError> {
             _ => Err(err(format!("ingest: {key} must be a non-negative integer"))),
         }
     };
-    let window = opt_u64("window")?;
-    let window_secs = opt_u64("window_secs")?;
-    if window.is_some() && window_secs.is_some() {
-        return Err(err("ingest: give window or window_secs, not both"));
-    }
-    if window == Some(0) || window_secs == Some(0) {
-        return Err(err("ingest: window lengths must be >= 1"));
-    }
-    Ok(IngestRequest {
+    let req = IngestRequest {
         tenant,
         catalog,
         chunk,
         eof,
-        window,
-        window_secs,
+        window: opt_u64("window")?,
+        window_secs: opt_u64("window_secs")?,
         gamma: parse_gamma(m, "ingest")?,
         warmup: opt_u64("warmup")?.unwrap_or(1),
         cooldown: opt_u64("cooldown")?.unwrap_or(1),
-    })
+    };
+    // The knob rule needs no catalog to pass its verdict.
+    req.advisor_config(0).map_err(err)?;
+    Ok(req)
 }
 
 impl Serialize for Request {

@@ -247,9 +247,7 @@ pub fn run_design(
     let metric = DeltaEuclidean::new(inputs.engine.catalog().column_count());
     let gamma = match req.gamma {
         GammaSpec::Fixed(g) => g,
-        GammaSpec::Auto => {
-            GammaPolicy::KMaxPastDeltas(1.5).resolve(&consecutive_deltas(&metric, &inputs.windows))
-        }
+        GammaSpec::Auto => GammaPolicy::AUTO.resolve(&consecutive_deltas(&metric, &inputs.windows)),
     };
     // The last four history windows, newest first.
     let pool = query_pool(history.iter().rev().take(4));

@@ -57,7 +57,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 /// `lines` additionally counts blank and `#`-comment lines, and invalid
 /// UTF-8 lines count as malformed (a case the `&str`-based importer cannot
 /// see).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct StreamStats {
     /// Records parsed into queries and emitted.
     pub parsed: u64,

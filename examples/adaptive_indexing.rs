@@ -60,7 +60,7 @@ fn main() {
         "CliffGuard",
         evaluate_strategy(
             &engine,
-            &CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 3),
+            &CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, 3),
             &windows,
             &metric,
             &opts,

@@ -46,7 +46,7 @@ fn main() {
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
 
     let existing = ExistingDesigner::new(&nominal);
-    let cliffguard = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 7);
+    let cliffguard = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, 7);
 
     let e = evaluate_strategy(&engine, &existing, &windows, &metric, &opts);
     let c = evaluate_strategy(&engine, &cliffguard, &windows, &metric, &opts);

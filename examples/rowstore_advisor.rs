@@ -42,7 +42,7 @@ fn main() {
     rows.push(evaluate_strategy(
         &engine, &oracle, &windows, &metric, &opts,
     ));
-    let cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::KMaxPastDeltas(1.5), 5);
+    let cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::AUTO, 5);
     rows.push(evaluate_strategy(&engine, &cg, &windows, &metric, &opts));
 
     println!("{:<24} {:>10} {:>10}", "strategy", "avg ms", "max ms");

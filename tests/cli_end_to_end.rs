@@ -404,6 +404,154 @@ fn cli_design_and_the_daemon_run_one_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `cliffguard ingest` on `catalog`/`log` with `flags` under the
+/// virtual clock and returns its stdout.
+fn ingest(catalog: &str, log: &str, flags: &[&str]) -> String {
+    let out = Command::new(bin())
+        .args([
+            "ingest",
+            "--catalog",
+            catalog,
+            "--log",
+            log,
+            "--virtual-clock",
+        ])
+        .args(flags)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "ingest {flags:?}: {stderr}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn cli_ingest_and_the_daemon_run_one_path() {
+    use cliffguard::serve::harness::{ingest_line, parse_output};
+    use cliffguard::serve::{GammaSpec, IngestRequest, ServeHarness};
+    use serde::Value;
+    const PLAN: &str = "fail@1,stall@2:40,overbudget@3,empty@4,stale@5";
+    let dir = tmpdir("ingest-one-path");
+    let (catalog, log) = generate(&dir);
+    let catalog_value: Value =
+        serde_json::from_str(&std::fs::read_to_string(&catalog).unwrap()).unwrap();
+    let text = std::fs::read_to_string(&log).unwrap();
+    let half = text.len() / 2;
+
+    // The daemon, fed the log in two frames plus `eof`, closes the same
+    // windows with the same audit lines as the CLI.
+    for (flags, window, window_secs, gamma) in [
+        (
+            &["--window", "64", "--gamma", "auto"][..],
+            Some(64),
+            None,
+            GammaSpec::Auto,
+        ),
+        (
+            &["--window", "17", "--gamma", "0.0001"][..],
+            Some(17),
+            None,
+            GammaSpec::Fixed(0.0001),
+        ),
+        (
+            &["--window-secs", "86400"][..],
+            None,
+            Some(86400),
+            GammaSpec::Auto,
+        ),
+    ] {
+        let mut first = IngestRequest::new("t", catalog_value.clone(), &text[..half]);
+        (first.window, first.window_secs, first.gamma) = (window, window_secs, gamma);
+        let mut last = IngestRequest::chunk_only("t", "");
+        last.eof = true;
+        let frames = [first, IngestRequest::chunk_only("t", &text[half..]), last];
+        let tape: Vec<String> = frames.iter().map(ingest_line).collect();
+        let daemon: Vec<String> = parse_output(&ServeHarness::new().run_tape(&tape))
+            .iter()
+            .flat_map(
+                |reply| match reply.as_map().map(|m| serde::map_get(m, "audits")) {
+                    Some(Value::Seq(lines)) => lines.clone(),
+                    _ => panic!("not an ingest reply: {reply:?}"),
+                },
+            )
+            .map(|line| match line {
+                Value::Str(s) => s,
+                other => panic!("audit line: {other:?}"),
+            })
+            .collect();
+        let cli = ingest(&catalog, &log, flags);
+        let cli: Vec<&str> = cli.lines().filter(|l| l.starts_with('W')).collect();
+        assert!(!cli.is_empty(), "{flags:?}");
+        assert_eq!(cli, daemon, "{flags:?}");
+    }
+
+    // A trigger's inputs are captured at the close that fired it, so the
+    // whole output, redesigns included, does not depend on where the reads
+    // end.
+    let designed = |chunk: &str| {
+        let flags = ["--window", "64", "--gamma", "auto", "--faults", PLAN];
+        ingest(
+            &catalog,
+            &log,
+            &[&flags[..], &["--chunk-bytes", chunk]].concat(),
+        )
+    };
+    let small = designed("1024");
+    assert!(small.lines().any(|l| l.starts_with('T')), "{small}");
+    assert_eq!(small, designed("1048576"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_trigger_before_a_log_time_gap_still_redesigns() {
+    // Windows 0–1 repeat five of the log's statements and window 2 five
+    // others, 20 arrivals per 100 s window; the next arrival comes at
+    // t = 1000 (closing window 2 and padding 3–9 empty) or, without the
+    // gap, at t = 300. Window 2 fires either way, and its redesign must
+    // run on window 2 itself.
+    let dir = tmpdir("ingest-gap");
+    let (catalog, log) = generate(&dir);
+    let text = std::fs::read_to_string(&log).unwrap();
+    let mut statements: Vec<&str> = Vec::new();
+    for sql in text
+        .lines()
+        .filter_map(|l| l.split_once('\t'))
+        .map(|(_, sql)| sql)
+    {
+        if !statements.contains(&sql) {
+            statements.push(sql);
+        }
+    }
+    let run = |last_ts: u64| {
+        let mut tsv = String::new();
+        for w in 0..3usize {
+            let regime = if w < 2 {
+                &statements[..5]
+            } else {
+                &statements[5..10]
+            };
+            for i in 0..20 {
+                tsv.push_str(&format!("{}\t{}\n", w * 100 + i * 5, regime[i % 5]));
+            }
+        }
+        tsv.push_str(&format!("{last_ts}\t{}\n", statements[0]));
+        let path = dir.join(format!("gap-{last_ts}.tsv"));
+        std::fs::write(&path, tsv).unwrap();
+        let flags = ["--window-secs", "100", "--gamma", "0.0001"];
+        ingest(&catalog, path.to_str().unwrap(), &flags)
+    };
+    let t2_after_w2 = |out: &str| {
+        let lines: Vec<&str> = out.lines().collect();
+        let w2 = lines.iter().position(|l| l.starts_with("W2 ")).expect("W2");
+        assert!(lines[w2].contains(" trigger=1 "), "{out}");
+        assert!(lines[w2 + 1].starts_with("T2 "), "no T2 after W2:\n{out}");
+        lines[w2 + 1].to_string()
+    };
+    let gap = run(1000);
+    assert!(gap.contains("\nW9 arrivals=0 "), "{gap}");
+    assert_eq!(t2_after_w2(&gap), t2_after_w2(&run(300)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn design_refuses_a_non_finite_gamma() {
     for gamma in ["nan", "inf"] {

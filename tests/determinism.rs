@@ -21,7 +21,7 @@ fn full_pipeline_is_deterministic() {
             designable_factor: 3.0,
         };
         let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-        let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 5);
+        let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, 5);
         let r = evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
         (
             r.mean_avg_ms,
@@ -107,7 +107,7 @@ fn every_strategy_is_deterministic_across_runs() {
     let engine = ColumnarEngine::new(CatalogGenerator::default().generate(&shape));
     let metric = DeltaEuclidean::new(shape.column_count());
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    let gamma = GammaPolicy::AUTO;
     let data_bytes = engine.catalog().data_bytes();
     let cracked: std::collections::HashSet<Projection> = windows[0]
         .queries()

@@ -42,7 +42,7 @@ fn columnar_pipeline_runs_and_orders_strategies() {
         &metric,
         &opts,
     );
-    let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 3);
+    let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, 3);
     let robust = evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
 
     // Sanity ordering on a drifting workload (paper's Figure 7a shape):
@@ -78,7 +78,7 @@ fn row_pipeline_runs() {
     let advisor = GreedyDesigner::new(&engine, RowCandidates, "advisor");
 
     let none = evaluate_strategy(&engine, &NoDesign, &windows, &metric, &opts);
-    let cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::KMaxPastDeltas(1.5), 3);
+    let cg = CliffGuardStrategy::new(&advisor, metric, GammaPolicy::AUTO, 3);
     let robust = evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
     assert!(robust.mean_avg_ms < none.mean_avg_ms);
 }
@@ -174,7 +174,7 @@ fn evaluate_rows_equal_direct_costing_of_the_next_window() {
     check(e, w, m, o, ExistingDesigner::new(&nominal));
     check(e, w, m, o, FutureKnowingDesigner::new(&nominal));
     check(e, w, m, o, AdaptiveIndexingStrategy::<Projection>::new());
-    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    let gamma = GammaPolicy::AUTO;
     check(
         e,
         w,

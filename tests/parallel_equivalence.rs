@@ -92,7 +92,7 @@ fn evaluate_strategy_is_identical_across_thread_counts() {
     let engine = ColumnarEngine::new(catalog);
     let metric = DeltaEuclidean::new(shape.column_count());
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    let gamma = GammaPolicy::AUTO;
     let strategy = |k: usize| -> Box<dyn DesignStrategy<ColumnarEngine> + '_> {
         match k {
             0 => Box::new(NoDesign),

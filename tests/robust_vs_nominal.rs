@@ -34,7 +34,7 @@ fn run(profile: WorkloadProfile, seed: u64) -> (EvalSummary, EvalSummary, EvalSu
         &metric,
         &opts,
     );
-    let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::KMaxPastDeltas(1.5), 13);
+    let cg = CliffGuardStrategy::new(&nominal, metric, GammaPolicy::AUTO, 13);
     let robust = evaluate_strategy(&engine, &cg, &windows, &metric, &opts);
     let oracle = evaluate_strategy(
         &engine,

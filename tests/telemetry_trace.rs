@@ -129,7 +129,7 @@ fn evaluate_trace_is_byte_identical_across_thread_counts() {
     let engine = ColumnarEngine::new(CatalogGenerator::default().generate(&shape));
     let metric = DeltaEuclidean::new(shape.column_count());
     let nominal = GreedyDesigner::new(&engine, ColumnarCandidates, "DBD");
-    let gamma = GammaPolicy::KMaxPastDeltas(1.5);
+    let gamma = GammaPolicy::AUTO;
     let opts = EvalOptions {
         budget_bytes: 40 << 30,
         designable_factor: 3.0,
