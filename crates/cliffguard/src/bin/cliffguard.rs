@@ -208,9 +208,7 @@ fn flag<'a>(opts: &'a Flags, name: &str) -> Result<&'a str, String> {
 fn load_catalog(opts: &Flags) -> Result<Catalog, String> {
     let path = flag(opts, "catalog")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut cat: Catalog = serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    cat.rebuild_index();
-    Ok(cat)
+    serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
 /// The `--catalog` file as the JSON value a daemon frame carries.
@@ -490,14 +488,14 @@ fn cmd_design(opts: &Flags, clock: &SessionClock) -> Result<(), String> {
             } else {
                 "uniform (divergence lost)"
             },
-            audit.worst_case(),
-            audit.uniform_worst_case(),
+            audit.worst_case,
+            audit.uniform_worst_case,
             audit.worst_mask,
             audit.failovers.len(),
             audit.set_fingerprint
         );
         let shares: Vec<String> = audit
-            .routing_shares()
+            .routing_shares
             .iter()
             .map(|s| format!("{s:.3}"))
             .collect();

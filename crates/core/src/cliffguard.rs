@@ -6,14 +6,17 @@ use cliffguard_designer::{NominalDesigner, Reliable};
 use cliffguard_distance::WorkloadDistance;
 use cliffguard_sim::{Engine, PlanningEngine};
 use cliffguard_workload::{Query, Workload};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Per-iteration trace of a CliffGuard run (for the Figure 13 experiment
 /// and for debugging), plus the session's resilience audit counters.
-#[derive(Debug, Clone, PartialEq)]
+/// A checkpoint persists it with its floats as bit patterns.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CliffGuardTrace {
     /// Worst-case (over the sampled neighborhood) average latency after
     /// each iteration, starting with the nominal design's.
+    #[serde(rename = "worst_case_bits", with = "serde::bits")]
     pub worst_case_per_iter: Vec<f64>,
     /// Number of *logical* designer invocations (1 nominal + 1 per
     /// iteration); retries of a flaky designer do not inflate this.

@@ -11,16 +11,6 @@ pub enum ConfigError {
     NegativeGamma(f64),
     /// `gamma` was NaN or infinite.
     NonFiniteGamma(f64),
-    /// `lambda_success` was not > 1.
-    BadLambdaSuccess(f64),
-    /// `lambda_failure` was not in (0, 1).
-    BadLambdaFailure(f64),
-    /// `worst_fraction` was not in (0, 1].
-    BadWorstFraction(f64),
-    /// `alpha0` was not positive.
-    BadAlpha0(f64),
-    /// `alpha_range` was inverted (min > max).
-    BadAlphaRange(f64, f64),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -30,19 +20,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "gamma must be non-negative, got {g}")
             }
             ConfigError::NonFiniteGamma(g) => write!(f, "gamma must be finite, got {g}"),
-            ConfigError::BadLambdaSuccess(l) => {
-                write!(f, "lambda_success must exceed 1, got {l}")
-            }
-            ConfigError::BadLambdaFailure(l) => {
-                write!(f, "lambda_failure must be in (0,1), got {l}")
-            }
-            ConfigError::BadWorstFraction(w) => {
-                write!(f, "worst_fraction must be in (0,1], got {w}")
-            }
-            ConfigError::BadAlpha0(a) => write!(f, "alpha0 must be positive, got {a}"),
-            ConfigError::BadAlphaRange(lo, hi) => {
-                write!(f, "alpha_range is inverted: ({lo}, {hi})")
-            }
         }
     }
 }
@@ -53,7 +30,9 @@ impl std::error::Error for ConfigError {}
 ///
 /// Defaults follow the paper's Section 6.1: "unless otherwise specified, we
 /// used n=20 samples in all algorithms involving sampling, and 5
-/// iterations, λ_success = 5, and λ_failure = 0.5 in CliffGuard."
+/// iterations, λ_success = 5, and λ_failure = 0.5 in CliffGuard." The
+/// step-size rule (initial α, λ_success, λ_failure, the worst-neighbor
+/// fraction and α's clamp) is fixed in the descent, not configured.
 #[derive(Debug, Clone)]
 pub struct CliffGuardConfig {
     /// The robustness knob Γ: the radius of the uncertainty region around
@@ -63,20 +42,8 @@ pub struct CliffGuardConfig {
     pub n_samples: usize,
     /// Maximum robust-move iterations.
     pub max_iters: usize,
-    /// Initial scaling factor α for the worst-neighbor mixture weights.
-    pub alpha0: f64,
-    /// Step-size growth on a successful move (`λ_success > 1`).
-    pub lambda_success: f64,
-    /// Step-size shrink on a failed move (`0 < λ_failure < 1`).
-    pub lambda_failure: f64,
-    /// Fraction of sampled neighbors treated as "worst" (the paper loosens
-    /// the ArgMax to "top-K or top 20%" to mitigate finite-sample bias).
-    pub worst_fraction: f64,
     /// Stop after this many consecutive non-improving iterations.
     pub patience: usize,
-    /// α is clamped to this range to keep the mixture weights finite (the
-    /// paper leaves the numeric range of α unspecified).
-    pub alpha_range: (f64, f64),
     /// Seed for the neighborhood sampler.
     pub seed: u64,
 }
@@ -88,12 +55,7 @@ impl CliffGuardConfig {
             gamma,
             n_samples: 20,
             max_iters: 5,
-            alpha0: 1.0,
-            lambda_success: 5.0,
-            lambda_failure: 0.5,
-            worst_fraction: 0.3,
             patience: 3,
-            alpha_range: (1.0 / 64.0, 4.0),
             seed: 0,
         }
     }
@@ -105,24 +67,6 @@ impl CliffGuardConfig {
         }
         if self.gamma < 0.0 {
             return Err(ConfigError::NegativeGamma(self.gamma));
-        }
-        if self.lambda_success <= 1.0 {
-            return Err(ConfigError::BadLambdaSuccess(self.lambda_success));
-        }
-        if self.lambda_failure <= 0.0 || self.lambda_failure >= 1.0 {
-            return Err(ConfigError::BadLambdaFailure(self.lambda_failure));
-        }
-        if self.worst_fraction <= 0.0 || self.worst_fraction > 1.0 {
-            return Err(ConfigError::BadWorstFraction(self.worst_fraction));
-        }
-        if self.alpha0 <= 0.0 {
-            return Err(ConfigError::BadAlpha0(self.alpha0));
-        }
-        if self.alpha_range.0 > self.alpha_range.1 {
-            return Err(ConfigError::BadAlphaRange(
-                self.alpha_range.0,
-                self.alpha_range.1,
-            ));
         }
         Ok(())
     }
@@ -143,16 +87,9 @@ mod tests {
         let c = CliffGuardConfig::new(0.002);
         assert_eq!(c.n_samples, 20);
         assert_eq!(c.max_iters, 5);
-        assert_eq!(c.lambda_success, 5.0);
-        assert_eq!(c.lambda_failure, 0.5);
+        assert_eq!(crate::session::LAMBDA_SUCCESS, 5.0);
+        assert_eq!(crate::session::LAMBDA_FAILURE, 0.5);
         assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn bad_lambda_rejected() {
-        let mut c = CliffGuardConfig::new(0.1);
-        c.lambda_failure = 1.5;
-        assert_eq!(c.validate(), Err(ConfigError::BadLambdaFailure(1.5)));
     }
 
     #[test]
@@ -175,8 +112,5 @@ mod tests {
     fn errors_render_the_offending_value() {
         let e = CliffGuardConfig::new(-0.25).validate().unwrap_err();
         assert!(e.to_string().contains("-0.25"));
-        let mut c = CliffGuardConfig::new(0.1);
-        c.alpha_range = (2.0, 1.0);
-        assert!(c.validate().unwrap_err().to_string().contains("inverted"));
     }
 }

@@ -58,6 +58,7 @@ use cliffguard_distance::{window_delta, ClauseMask, WindowVector};
 use cliffguard_resilience::SessionClock;
 use cliffguard_telemetry::{self as telemetry, Level};
 use cliffguard_workload::{query_pool, LogStream, Query, SignatureSet, Workload};
+use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -189,7 +190,12 @@ impl WindowAudit {
 /// Restorable state of an [`OnlineAdvisor`] (everything except the config
 /// and clock, which the owner re-supplies). Two advisors with equal
 /// snapshots produce identical audit streams on identical future input.
-#[derive(Debug, Clone)]
+///
+/// Its serde form is exact: window workloads are integer-weighted (raw
+/// counts survive JSON) and δ history travels as bit patterns, so the Γ
+/// resolution a restored advisor performs sees the floats the live one
+/// retained.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdvisorSnapshot {
     /// Windows closed so far.
     pub window_index: u64,
@@ -209,6 +215,7 @@ pub struct AdvisorSnapshot {
     /// Older closed windows, oldest first (the redesign pool).
     pub history: Vec<Workload>,
     /// Retained past δ values (Γ resolution input).
+    #[serde(rename = "past_delta_bits", with = "serde::bits")]
     pub past_deltas: Vec<f64>,
     /// Cooldown remaining.
     pub cooldown_left: u64,

@@ -9,8 +9,7 @@
 //! on designs never tuned for them. This module therefore scores every
 //! replicated design by a **two-axis minimax**: worst case over the
 //! drift scenarios *and* over every failure mask with up to `k`
-//! simultaneous crashes (surviving replicas optionally paying a capacity
-//! inflation for the rerouted traffic).
+//! simultaneous crashes.
 //!
 //! The divergent designer is greedy and deterministic:
 //!
@@ -21,7 +20,7 @@
 //! 3. per round, redesign each replica against its routed sub-workload
 //!    (CELF greedy selection under the per-node budget), then re-route
 //!    every query through the fresh [`QueryRouter`]; stop when the
-//!    assignment fixes or the round budget runs out;
+//!    assignment fixes or after [`ROUNDS`] rounds;
 //! 4. keep the divergent set only if its two-axis worst case is
 //!    *strictly* better than the uniform fleet's — otherwise fall back
 //!    to uniform, so divergence never costs robustness.
@@ -42,19 +41,18 @@
 
 use cliffguard_designer::NominalDesigner;
 use cliffguard_resilience::{FaultKind, FaultPlan};
-use cliffguard_robust::{
-    capacity_inflation, enumerate_masks, survivors, worst_over_masks, FailureMask,
-};
+use cliffguard_robust::{enumerate_masks, survivors, worst_over_masks, FailureMask};
 use cliffguard_sim::{
     combine_fingerprints, CostKernel, DesignEpoch, PhysicalDesign, PlanningEngine, QueryRouter,
 };
 use cliffguard_workload::{InternedWorkload, Workload};
+use serde::Serialize;
 use std::sync::Arc;
 
 pub use cliffguard_robust::MAX_REPLICAS;
 
-/// Default number of route-redesign rounds of the divergent search.
-pub const DEFAULT_ROUNDS: usize = 3;
+/// Route-redesign rounds of the divergent search.
+pub const ROUNDS: usize = 3;
 
 /// Knobs of the replicated-design layer.
 #[derive(Debug, Clone)]
@@ -64,12 +62,6 @@ pub struct ReplicaOptions {
     pub replicas: usize,
     /// Crash budget k of the failure adversary (clamped to R−1).
     pub max_failures: usize,
-    /// Capacity-inflation θ: under a mask with `c` crashes and `s`
-    /// survivors, surviving latencies scale by `1 + θ·c/s`. `0.0`
-    /// disables inflation exactly (bit-identical latencies).
-    pub inflation: f64,
-    /// Route-redesign rounds of the divergent search.
-    pub rounds: usize,
     /// Fault plan whose replica-crash / replica-slow entries fire by
     /// 1-based round index.
     pub faults: Option<FaultPlan>,
@@ -80,8 +72,6 @@ impl Default for ReplicaOptions {
         Self {
             replicas: 1,
             max_failures: 0,
-            inflation: 0.0,
-            rounds: DEFAULT_ROUNDS,
             faults: None,
         }
     }
@@ -121,7 +111,7 @@ impl<D: PhysicalDesign> ReplicatedDesign<D> {
 }
 
 /// One replica fault consumed by the divergent search.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailoverEvent {
     /// 1-based round the fault fired in.
     pub round: usize,
@@ -134,14 +124,16 @@ pub struct FailoverEvent {
     pub suppressed: bool,
     /// Distinct queries rerouted off the replica.
     pub rerouted_queries: usize,
-    /// Total workload weight rerouted, as f64 bits.
-    pub rerouted_weight_bits: u64,
+    /// Total workload weight rerouted.
+    #[serde(rename = "rerouted_weight_bits", with = "serde::bits")]
+    pub rerouted_weight: f64,
 }
 
 /// The deterministic audit trail of one replicated design run. Floats
-/// travel as IEEE-754 bit patterns so [`to_json`](Self::to_json) is
-/// byte-identical across runs and thread counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// travel as IEEE-754 bit patterns ([`serde::bits`], under `*_bits`
+/// keys) so [`to_json`](Self::to_json) is byte-identical across runs and
+/// thread counts.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReplicaAudit {
     /// Fleet size R.
     pub replicas: usize,
@@ -159,89 +151,35 @@ pub struct ReplicaAudit {
     pub set_fingerprint: u64,
     /// The failure mask attaining the two-axis worst case.
     pub worst_mask: FailureMask,
-    /// Two-axis worst-case cost of the chosen fleet (f64 bits).
-    pub worst_case_bits: u64,
-    /// Two-axis worst-case cost of the uniform fleet (f64 bits).
-    pub uniform_worst_case_bits: u64,
+    /// Two-axis worst-case cost of the chosen fleet.
+    #[serde(rename = "worst_case_bits", with = "serde::bits")]
+    pub worst_case: f64,
+    /// Two-axis worst-case cost of the uniform fleet.
+    #[serde(rename = "uniform_worst_case_bits", with = "serde::bits")]
+    pub uniform_worst_case: f64,
     /// Worst drift-scenario cost under the live (injected-crash-only)
-    /// mask — the baseline the worst-mask regret is measured from
-    /// (f64 bits).
-    pub live_cost_bits: u64,
+    /// mask — the baseline the worst-mask regret is measured from.
+    #[serde(rename = "live_cost_bits", with = "serde::bits")]
+    pub live_cost: f64,
     /// Per-replica share of the target workload's weight under the live
-    /// mask (f64 bits each; crashed replicas hold `0.0`).
-    pub routing_shares_bits: Vec<u64>,
+    /// mask (crashed replicas hold `0.0`).
+    #[serde(rename = "routing_shares_bits", with = "serde::bits")]
+    pub routing_shares: Vec<f64>,
     /// Replica faults consumed, in firing order.
     pub failovers: Vec<FailoverEvent>,
 }
 
 impl ReplicaAudit {
-    /// The two-axis worst-case cost.
-    pub fn worst_case(&self) -> f64 {
-        f64::from_bits(self.worst_case_bits)
-    }
-
-    /// The uniform fleet's two-axis worst case.
-    pub fn uniform_worst_case(&self) -> f64 {
-        f64::from_bits(self.uniform_worst_case_bits)
-    }
-
     /// Worst-mask regret: how much the worst additional-failure mask
     /// costs over the live mask.
     pub fn worst_mask_regret(&self) -> f64 {
-        self.worst_case() - f64::from_bits(self.live_cost_bits)
-    }
-
-    /// Per-replica routing shares under the live mask.
-    pub fn routing_shares(&self) -> Vec<f64> {
-        self.routing_shares_bits
-            .iter()
-            .map(|&b| f64::from_bits(b))
-            .collect()
+        self.worst_case - self.live_cost
     }
 
     /// Renders the audit as one-line JSON with a fixed key order —
     /// byte-identical for identical runs at any thread count.
     pub fn to_json(&self) -> String {
-        let shares: Vec<String> = self
-            .routing_shares_bits
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        let failovers: Vec<String> = self
-            .failovers
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"round\":{},\"replica\":{},\"kind\":\"{}\",\"suppressed\":{},\
-                     \"rerouted_queries\":{},\"rerouted_weight_bits\":{}}}",
-                    f.round,
-                    f.replica,
-                    f.kind,
-                    f.suppressed,
-                    f.rerouted_queries,
-                    f.rerouted_weight_bits
-                )
-            })
-            .collect();
-        format!(
-            "{{\"replicas\":{},\"max_failures\":{},\"divergent\":{},\"rounds_run\":{},\
-             \"crashed_mask\":{},\"slowed_mask\":{},\"set_fingerprint\":{},\"worst_mask\":{},\
-             \"worst_case_bits\":{},\"uniform_worst_case_bits\":{},\"live_cost_bits\":{},\
-             \"routing_shares_bits\":[{}],\"failovers\":[{}]}}",
-            self.replicas,
-            self.max_failures,
-            self.divergent,
-            self.rounds_run,
-            self.crashed_mask,
-            self.slowed_mask,
-            self.set_fingerprint,
-            self.worst_mask,
-            self.worst_case_bits,
-            self.uniform_worst_case_bits,
-            self.live_cost_bits,
-            shares.join(","),
-            failovers.join(",")
-        )
+        serde_json::to_string(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
     }
 }
 
@@ -288,19 +226,16 @@ fn fleet_worst(
     router: &QueryRouter,
     scenarios: &[InternedWorkload],
     masks: &[FailureMask],
-    theta: f64,
     replicas: usize,
 ) -> (FailureMask, f64) {
     let mut scored: Vec<(FailureMask, f64)> = Vec::with_capacity(masks.len());
     for &mask in masks {
-        let alive = survivors(mask, replicas);
-        if alive == 0 {
+        if survivors(mask, replicas) == 0 {
             continue;
         }
-        let infl = capacity_inflation(theta, replicas - alive, alive);
         let mut worst: f64 = 0.0;
         for w in scenarios {
-            if let Some(c) = router.routed_workload_cost(w, mask, infl) {
+            if let Some(c) = router.routed_workload_cost(w, mask) {
                 worst = worst.max(c.avg_ms);
             }
         }
@@ -373,7 +308,7 @@ where
     let mut assignment: Vec<u32> = (0..target.len()).map(|i| (i % r) as u32).collect();
 
     if r > 1 {
-        for round in 1..=opts.rounds.max(1) {
+        for round in 1..=ROUNDS {
             rounds_run = round;
             let slow_factor = opts.faults.as_ref().map_or(1.0, |p| p.slow_factor());
             match opts
@@ -392,7 +327,7 @@ where
                         kind: "replica-crash",
                         suppressed: would_kill || crashed & bit != 0,
                         rerouted_queries: nq,
-                        rerouted_weight_bits: wt.to_bits(),
+                        rerouted_weight: wt,
                     });
                     if !would_kill {
                         crashed |= bit;
@@ -407,7 +342,7 @@ where
                         kind: "replica-slow",
                         suppressed: false,
                         rerouted_queries: nq,
-                        rerouted_weight_bits: wt.to_bits(),
+                        rerouted_weight: wt,
                     });
                     slowed |= 1u32 << idx;
                     scales[idx] = slow_factor.max(1.0);
@@ -458,12 +393,11 @@ where
 
     let masks = adversary_masks(r, k, crashed);
     let divergent_router = build_router(&kernel, &designs, &scales);
-    let (div_mask, div_worst) =
-        fleet_worst(&divergent_router, &interned, &masks, opts.inflation, r);
+    let (div_mask, div_worst) = fleet_worst(&divergent_router, &interned, &masks, r);
 
     let uniform_designs: Vec<E::Design> = vec![base.clone(); r];
     let uniform_router = build_router(&kernel, &uniform_designs, &scales);
-    let (uni_mask, uni_worst) = fleet_worst(&uniform_router, &interned, &masks, opts.inflation, r);
+    let (uni_mask, uni_worst) = fleet_worst(&uniform_router, &interned, &masks, r);
 
     let divergent = div_worst < uni_worst;
     let (final_designs, router, worst_mask, worst) = if divergent {
@@ -471,7 +405,7 @@ where
     } else {
         (uniform_designs, uniform_router, uni_mask, uni_worst)
     };
-    let (_, live_cost) = fleet_worst(&router, &interned, &[crashed], opts.inflation, r);
+    let (_, live_cost) = fleet_worst(&router, &interned, &[crashed], r);
     let shares = router
         .routing_shares(target, crashed)
         .expect("at least one replica always survives");
@@ -488,10 +422,10 @@ where
         slowed_mask: slowed,
         set_fingerprint: design.set_fingerprint(),
         worst_mask,
-        worst_case_bits: worst.to_bits(),
-        uniform_worst_case_bits: uni_worst.to_bits(),
-        live_cost_bits: live_cost.to_bits(),
-        routing_shares_bits: shares.iter().map(|s| s.to_bits()).collect(),
+        worst_case: worst,
+        uniform_worst_case: uni_worst,
+        live_cost,
+        routing_shares: shares,
         failovers,
     };
     publish_metrics(&audit);
@@ -528,7 +462,7 @@ fn publish_metrics(audit: &ReplicaAudit) {
     if !cliffguard_telemetry::metrics_enabled() {
         return;
     }
-    for (i, share) in audit.routing_shares().iter().enumerate() {
+    for (i, share) in audit.routing_shares.iter().enumerate() {
         let name = cliffguard_telemetry::labeled(
             "cliffguard.core.replica.routing_share",
             "replica",
@@ -602,7 +536,7 @@ mod tests {
             .iter()
             .map(|w| kernel.workload_cost(w, &epoch).avg_ms)
             .fold(0.0f64, f64::max);
-        assert_eq!(out.audit.worst_case_bits, direct.to_bits());
+        assert_eq!(out.audit.worst_case.to_bits(), direct.to_bits());
         assert_eq!(out.audit.worst_mask, 0);
         assert!(!out.audit.divergent);
         assert_eq!(out.design.len(), 1);
@@ -630,10 +564,10 @@ mod tests {
             )
             .unwrap();
             assert!(
-                out.audit.worst_case() <= out.audit.uniform_worst_case(),
+                out.audit.worst_case <= out.audit.uniform_worst_case,
                 "k={k}: divergent {} must not exceed uniform {}",
-                out.audit.worst_case(),
-                out.audit.uniform_worst_case()
+                out.audit.worst_case,
+                out.audit.uniform_worst_case
             );
         }
     }
@@ -656,7 +590,6 @@ mod tests {
                 replicas: 3,
                 max_failures: 1,
                 faults: Some(plan),
-                ..ReplicaOptions::default()
             },
         )
         .unwrap();
@@ -666,7 +599,7 @@ mod tests {
         assert_eq!((f.round, f.replica, f.kind), (1, 1, "replica-crash"));
         assert!(!f.suppressed);
         // The crashed replica serves nothing.
-        assert_eq!(out.audit.routing_shares()[1], 0.0);
+        assert_eq!(out.audit.routing_shares[1], 0.0);
     }
 
     #[test]
@@ -688,9 +621,7 @@ mod tests {
             &ReplicaOptions {
                 replicas: 2,
                 max_failures: 1,
-                rounds: 4,
                 faults: Some(plan),
-                ..ReplicaOptions::default()
             },
         )
         .unwrap();
@@ -704,7 +635,7 @@ mod tests {
         assert_eq!(suppressed.len(), 1, "second crash recorded but suppressed");
         assert_eq!(suppressed[0].replica, 1);
         // The surviving replica serves the whole workload.
-        assert_eq!(out.audit.routing_shares()[1], 1.0);
+        assert_eq!(out.audit.routing_shares[1], 1.0);
     }
 
     #[test]
@@ -731,7 +662,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.audit.slowed_mask, 0b01);
-        let shares = out.audit.routing_shares();
+        let shares = &out.audit.routing_shares;
         assert!(
             shares[0] < shares[1],
             "a 100x-slowed replica must lose routing share: {shares:?}"
@@ -748,9 +679,7 @@ mod tests {
         let opts = ReplicaOptions {
             replicas: 3,
             max_failures: 1,
-            inflation: 0.5,
             faults: Some(FaultPlan::none().at(2, FaultKind::ReplicaCrash(2))),
-            ..ReplicaOptions::default()
         };
         let a = design_replicated(&engine, &designer, &base, &ws, budget, &opts).unwrap();
         let b = design_replicated(&engine, &designer, &base, &ws, budget, &opts).unwrap();

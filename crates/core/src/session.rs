@@ -38,7 +38,7 @@ use cliffguard_resilience::{DegradedReason, RetryPolicy, SessionClock};
 use cliffguard_sim::{CostKernel, Engine, PhysicalDesign, PlanningEngine};
 use cliffguard_telemetry::{self as telemetry, Level};
 use cliffguard_workload::{InternedWorkload, Query, Workload};
-use serde::{map_get, Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize, Version};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,6 +47,25 @@ use std::time::Instant;
 /// accepted move may spend some of W0's cost, but the total spend is
 /// bounded by this factor over the nominal design's W0 cost.
 pub(crate) const MAX_NOMINAL_REGRESSION: f64 = 1.15;
+
+/// Initial step size α of the worst-neighbor mixture weights.
+const ALPHA0: f64 = 1.0;
+
+/// Step-size growth on an accepted move (the paper's λ_success = 5,
+/// Section 6.1).
+pub(crate) const LAMBDA_SUCCESS: f64 = 5.0;
+
+/// Step-size shrink on a rejected move (the paper's λ_failure = 0.5).
+pub(crate) const LAMBDA_FAILURE: f64 = 0.5;
+
+/// Share of the sampled neighbors treated as "worst" (at least one): the
+/// paper loosens the ArgMax to "top-K or top 20%" to mitigate
+/// finite-sample bias.
+const WORST_FRACTION: f64 = 0.3;
+
+/// α is clamped to this range to keep the mixture weights finite (the
+/// paper leaves the numeric range of α unspecified).
+const ALPHA_RANGE: (f64, f64) = (1.0 / 64.0, 4.0);
 
 /// Runtime options of a [`DesignSession`].
 #[derive(Debug, Clone)]
@@ -166,20 +185,25 @@ impl std::error::Error for ResumeError {}
 /// Serialized descent state: everything needed to finish a killed session
 /// with a final design bit-identical to an uninterrupted run's.
 ///
-/// Floats are serialized as `f64::to_bits` patterns; the neighborhood is
-/// re-sampled on resume and verified against `rng_words` +
-/// `fingerprint`.
-#[derive(Debug, Clone)]
+/// Floats travel as bit patterns ([`serde::bits`], under `*_bits` keys);
+/// the neighborhood is re-sampled on resume and verified against
+/// `rng_words` + `fingerprint`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DescentCheckpoint<D> {
+    /// The format version (`1`), written first; any other is refused.
+    pub version: Version<1>,
     /// Hash of (config, W0, pool, budget) the session ran with.
     pub fingerprint: u64,
     /// Next 0-based descent iteration to run.
     pub next_iter: usize,
     /// Current step size α.
+    #[serde(rename = "alpha_bits", with = "serde::bits")]
     pub alpha: f64,
     /// Worst-case objective of the current design.
+    #[serde(rename = "current_worst_bits", with = "serde::bits")]
     pub current_worst: f64,
     /// Cap on the candidate's W0 cost (nominal cost × 1.15).
+    #[serde(rename = "w0_cap_bits", with = "serde::bits")]
     pub w0_cap: f64,
     /// Consecutive non-improving iterations so far.
     pub stale: usize,
@@ -212,108 +236,6 @@ impl<D: Deserialize> DescentCheckpoint<D> {
     /// [`to_json`](Self::to_json).
     pub fn from_json(s: &str) -> Result<Self, SerdeError> {
         serde_json::from_str(s).map_err(|e| SerdeError::msg(e.to_string()))
-    }
-}
-
-fn trace_to_value(t: &CliffGuardTrace) -> Value {
-    Value::Map(vec![
-        (
-            "worst_case_bits".into(),
-            Value::Seq(
-                t.worst_case_per_iter
-                    .iter()
-                    .map(|x| Value::U64(x.to_bits()))
-                    .collect(),
-            ),
-        ),
-        ("designer_calls".into(), Value::U64(t.designer_calls as u64)),
-        ("samples".into(), Value::U64(t.samples as u64)),
-        ("retries".into(), Value::U64(t.retries as u64)),
-        ("faults".into(), Value::U64(t.faults as u64)),
-        (
-            "degraded".into(),
-            match &t.degraded {
-                Some(s) => Value::Str(s.clone()),
-                None => Value::Null,
-            },
-        ),
-        ("resumed".into(), Value::Bool(t.resumed)),
-    ])
-}
-
-fn trace_from_value(v: &Value) -> Result<CliffGuardTrace, SerdeError> {
-    let m = v
-        .as_map()
-        .ok_or_else(|| SerdeError::msg("trace: expected map"))?;
-    let bits: Vec<u64> = Vec::from_value(map_get(m, "worst_case_bits"))?;
-    Ok(CliffGuardTrace {
-        worst_case_per_iter: bits.into_iter().map(f64::from_bits).collect(),
-        designer_calls: u64::from_value(map_get(m, "designer_calls"))? as usize,
-        samples: u64::from_value(map_get(m, "samples"))? as usize,
-        retries: u64::from_value(map_get(m, "retries"))? as usize,
-        faults: u64::from_value(map_get(m, "faults"))? as usize,
-        degraded: Option::<String>::from_value(map_get(m, "degraded"))?,
-        resumed: bool::from_value(map_get(m, "resumed"))?,
-    })
-}
-
-// Manual impls: the derive shim does not handle generic types, and the
-// floats must round-trip as bit patterns anyway.
-impl<D: Serialize> Serialize for DescentCheckpoint<D> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("version".into(), Value::U64(1)),
-            ("fingerprint".into(), Value::U64(self.fingerprint)),
-            ("next_iter".into(), Value::U64(self.next_iter as u64)),
-            ("alpha_bits".into(), Value::U64(self.alpha.to_bits())),
-            (
-                "current_worst_bits".into(),
-                Value::U64(self.current_worst.to_bits()),
-            ),
-            ("w0_cap_bits".into(), Value::U64(self.w0_cap.to_bits())),
-            ("stale".into(), Value::U64(self.stale as u64)),
-            (
-                "accumulated".into(),
-                Value::Seq(
-                    self.accumulated
-                        .iter()
-                        .map(|&i| Value::U64(i as u64))
-                        .collect(),
-                ),
-            ),
-            ("attempts".into(), Value::U64(self.attempts)),
-            ("rng_words".into(), Value::U64(self.rng_words)),
-            ("design".into(), self.design.to_value()),
-            ("trace".into(), trace_to_value(&self.trace)),
-        ])
-    }
-}
-
-impl<D: Deserialize> Deserialize for DescentCheckpoint<D> {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| SerdeError::msg("checkpoint: expected map"))?;
-        let version = u64::from_value(map_get(m, "version"))?;
-        if version != 1 {
-            return Err(SerdeError::msg(format!(
-                "unsupported checkpoint version {version}"
-            )));
-        }
-        let accumulated: Vec<u64> = Vec::from_value(map_get(m, "accumulated"))?;
-        Ok(Self {
-            fingerprint: u64::from_value(map_get(m, "fingerprint"))?,
-            next_iter: u64::from_value(map_get(m, "next_iter"))? as usize,
-            alpha: f64::from_bits(u64::from_value(map_get(m, "alpha_bits"))?),
-            current_worst: f64::from_bits(u64::from_value(map_get(m, "current_worst_bits"))?),
-            w0_cap: f64::from_bits(u64::from_value(map_get(m, "w0_cap_bits"))?),
-            stale: u64::from_value(map_get(m, "stale"))? as usize,
-            accumulated: accumulated.into_iter().map(|i| i as usize).collect(),
-            attempts: u64::from_value(map_get(m, "attempts"))?,
-            rng_words: u64::from_value(map_get(m, "rng_words"))?,
-            design: D::from_value(map_get(m, "design"))?,
-            trace: trace_from_value(map_get(m, "trace"))?,
-        })
     }
 }
 
@@ -469,7 +391,7 @@ where
         let st = Descent {
             w0_cap: self.w0_cost(&kernel, &interned, &design) * MAX_NOMINAL_REGRESSION,
             design,
-            alpha: cfg.alpha0,
+            alpha: ALPHA0,
             current_worst,
             stale: 0,
             accumulated: Vec::new(),
@@ -719,6 +641,7 @@ where
         rng_words: u64,
     ) -> DescentCheckpoint<E::Design> {
         DescentCheckpoint {
+            version: Version,
             fingerprint,
             next_iter: st.next_iter,
             alpha: st.alpha,
@@ -808,7 +731,7 @@ where
                 .enumerate()
                 .collect();
             scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let keep = ((neighborhood.len() as f64 * cfg.worst_fraction).ceil() as usize)
+            let keep = ((neighborhood.len() as f64 * WORST_FRACTION).ceil() as usize)
                 .clamp(1, neighborhood.len());
             let current_worst_idx: Vec<usize> = scored[..keep].iter().map(|&(i, _)| i).collect();
             let mut merged_idx = st.accumulated.clone();
@@ -871,8 +794,7 @@ where
             if accepted {
                 st.design = candidate;
                 st.current_worst = candidate_worst;
-                st.alpha =
-                    (st.alpha * cfg.lambda_success).clamp(cfg.alpha_range.0, cfg.alpha_range.1);
+                st.alpha = (st.alpha * LAMBDA_SUCCESS).clamp(ALPHA_RANGE.0, ALPHA_RANGE.1);
                 st.stale = 0;
                 for i in current_worst_idx {
                     if !st.accumulated.contains(&i) {
@@ -880,8 +802,7 @@ where
                     }
                 }
             } else {
-                st.alpha =
-                    (st.alpha * cfg.lambda_failure).clamp(cfg.alpha_range.0, cfg.alpha_range.1);
+                st.alpha = (st.alpha * LAMBDA_FAILURE).clamp(ALPHA_RANGE.0, ALPHA_RANGE.1);
                 st.stale += 1;
             }
             iter_span.record_bool("accepted", accepted);
@@ -957,13 +878,15 @@ fn fingerprint(
     mix(cfg.gamma.to_bits());
     mix(cfg.n_samples as u64);
     mix(cfg.max_iters as u64);
-    mix(cfg.alpha0.to_bits());
-    mix(cfg.lambda_success.to_bits());
-    mix(cfg.lambda_failure.to_bits());
-    mix(cfg.worst_fraction.to_bits());
+    // The step-size constants stay in the hash, in their old order, so a
+    // checkpoint keeps its fingerprint across versions.
+    mix(ALPHA0.to_bits());
+    mix(LAMBDA_SUCCESS.to_bits());
+    mix(LAMBDA_FAILURE.to_bits());
+    mix(WORST_FRACTION.to_bits());
     mix(cfg.patience as u64);
-    mix(cfg.alpha_range.0.to_bits());
-    mix(cfg.alpha_range.1.to_bits());
+    mix(ALPHA_RANGE.0.to_bits());
+    mix(ALPHA_RANGE.1.to_bits());
     mix(cfg.seed);
     mix(budget_bytes);
     mix(w0.len() as u64);
@@ -1252,6 +1175,7 @@ mod tests {
             resumed: false,
         };
         let ckpt: DescentCheckpoint<ColumnarDesign> = DescentCheckpoint {
+            version: serde::Version,
             fingerprint: 0xdead_beef_cafe_f00d,
             next_iter: 2,
             alpha: 0.1 + 0.2, // not representable cleanly in decimal

@@ -72,21 +72,6 @@ pub fn enumerate_masks(replicas: usize, max_failures: usize) -> Vec<FailureMask>
         .collect()
 }
 
-/// The capacity inflation factor survivors pay under a crash: with
-/// `crashed` replicas down and `survivors` left, rerouted traffic
-/// inflates surviving latencies by `1 + theta * crashed / survivors`.
-/// `theta = 0` (or no crashes) disables inflation exactly — the factor is
-/// the literal `1.0`, so multiplying by it is skippable and the
-/// zero-crash path stays bit-identical to the unreplicated objective.
-#[inline]
-pub fn capacity_inflation(theta: f64, crashed: usize, survivors: usize) -> f64 {
-    if crashed == 0 || theta == 0.0 {
-        1.0
-    } else {
-        1.0 + theta * crashed as f64 / survivors.max(1) as f64
-    }
-}
-
 /// The worst (highest-cost) scenario among `scored` `(mask, cost)` pairs.
 /// Strictly-greater comparison: ties keep the earliest pair, so with
 /// masks in ascending order the lowest mask wins — deterministic
@@ -141,13 +126,6 @@ mod tests {
         assert_eq!(survivors(0b101, 3), 1);
         // Foreign high bits are ignored.
         assert_eq!(survivors(0b1000_0101, 3), 1);
-    }
-
-    #[test]
-    fn inflation_is_exactly_one_when_disabled() {
-        assert_eq!(capacity_inflation(0.0, 2, 1).to_bits(), 1.0f64.to_bits());
-        assert_eq!(capacity_inflation(0.5, 0, 3).to_bits(), 1.0f64.to_bits());
-        assert!(capacity_inflation(0.5, 1, 2) > 1.0);
     }
 
     #[test]

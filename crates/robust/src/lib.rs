@@ -9,6 +9,5 @@
 mod failure;
 
 pub use failure::{
-    capacity_inflation, enumerate_masks, is_crashed, survivors, worst_over_masks, FailureMask,
-    MAX_REPLICAS,
+    enumerate_masks, is_crashed, survivors, worst_over_masks, FailureMask, MAX_REPLICAS,
 };

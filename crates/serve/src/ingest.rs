@@ -16,12 +16,12 @@
 //! window-audit and trigger history.
 //!
 //! The persistence surface is exact by construction: window workloads are
-//! integer-weighted (raw counts survive JSON), δ history travels as
-//! IEEE-754 bit patterns, and the stream carry is a byte array (a chunk
-//! may end mid-UTF-8-sequence, so it is *not* a JSON string). A snapshot
-//! is restored through the same knob rule as a frame
-//! ([`IngestRequest::advisor_config`]), so a corrupt one is refused, not
-//! altered.
+//! integer-weighted (raw counts survive JSON), δ history and a fixed Γ
+//! travel as IEEE-754 bit patterns ([`serde::bits`]), and the stream
+//! carry is a byte array (a chunk may end mid-UTF-8-sequence, so it is
+//! *not* a JSON string). A snapshot is restored through the same knob
+//! rule as a frame ([`IngestRequest::advisor_config`]), so a corrupt one
+//! is refused, not altered.
 
 use crate::protocol::{GammaSpec, IngestRequest};
 use cliffguard_core::gamma::GammaPolicy;
@@ -35,7 +35,7 @@ use cliffguard_resilience::{session_designer, FaultPlan, SessionClock};
 use cliffguard_sim::{ColumnarDesign, ColumnarEngine, Engine};
 use cliffguard_storage::Catalog;
 use cliffguard_workload::{LogStream, Query, StreamStats, Workload};
-use serde::{map_get, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value, Version};
 use std::sync::Arc;
 
 /// One tenant's live streaming-ingest state.
@@ -103,9 +103,8 @@ impl IngestSession {
                 req.tenant
             ));
         };
-        let mut catalog =
+        let catalog =
             Catalog::from_value(catalog_value).map_err(|e| format!("ingest: bad catalog: {e}"))?;
-        catalog.rebuild_index();
         let config = req.advisor_config(catalog.column_count())?;
         Ok(Self {
             tenant: req.tenant.clone(),
@@ -218,36 +217,34 @@ impl IngestSession {
     /// Serializes the session's restorable state as one JSON document.
     pub fn to_json(&self) -> String {
         let cfg = self.advisor.config();
-        let mut m = vec![
-            ("version".into(), Value::U64(1)),
-            ("tenant".into(), Value::Str(self.tenant.clone())),
-            ("catalog".into(), self.catalog_value.clone()),
-        ];
-        match cfg.window {
-            WindowPolicy::Count(n) => m.push(("window_count".into(), Value::U64(n as u64))),
-            WindowPolicy::LogTime(s) => m.push(("window_log_secs".into(), Value::U64(s))),
+        let (window_count, window_log_secs) = match cfg.window {
+            WindowPolicy::Count(n) => (Some(n as u64), None),
+            WindowPolicy::LogTime(s) => (None, Some(s)),
             WindowPolicy::ClockTime(_) => {
                 unreachable!("the knob rule builds count and log-time windows only")
             }
-        }
-        match cfg.gamma {
-            GammaPolicy::Fixed(g) => m.push(("gamma_bits".into(), Value::U64(g.to_bits()))),
+        };
+        let (gamma_bits, gamma) = match cfg.gamma {
+            GammaPolicy::Fixed(g) => (Some(g), None),
             // Every non-fixed policy the wire can produce is `auto`.
-            _ => m.push(("gamma".into(), Value::Str("auto".into()))),
-        }
-        m.push(("warmup".into(), Value::U64(cfg.warmup as u64)));
-        m.push(("cooldown".into(), Value::U64(cfg.cooldown as u64)));
-        m.push(("carry".into(), self.stream.carry().to_value()));
-        m.push(("stats".into(), self.stream.stats().to_value()));
-        m.push((
-            "cache_resets".into(),
-            Value::U64(self.stream.cache_resets()),
-        ));
-        m.push((
-            "advisor".into(),
-            snapshot_to_value(&self.advisor.snapshot()),
-        ));
-        serde_json::to_string(&Value::Map(m)).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
+            _ => (None, Some("auto".to_string())),
+        };
+        let file = IngestFile {
+            version: Version,
+            tenant: self.tenant.clone(),
+            catalog: self.catalog_value.clone(),
+            window_count,
+            window_log_secs,
+            gamma_bits,
+            gamma,
+            warmup: cfg.warmup as u64,
+            cooldown: cfg.cooldown as u64,
+            carry: self.stream.carry().to_vec(),
+            stats: self.stream.stats().clone(),
+            cache_resets: self.stream.cache_resets(),
+            advisor: self.advisor.snapshot(),
+        };
+        serde_json::to_string(&file).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
     }
 
     /// Rebuilds a session from [`to_json`](Self::to_json). The snapshot's
@@ -257,137 +254,51 @@ impl IngestSession {
     /// bit-pattern δ history), so replaying the remaining chunks yields
     /// the same audits and triggers as an uninterrupted run.
     pub fn from_json(json: &str, clock: SessionClock) -> Result<Self, String> {
-        let v: Value = serde_json::from_str(json).map_err(|e| format!("bad JSON: {e}"))?;
-        let m = v.as_map().ok_or("snapshot must be a JSON object")?;
-        let u = |key: &str| u64::from_value(map_get(m, key)).map_err(|e| e.to_string());
-        let version = u("version")?;
-        if version != 1 {
-            return Err(format!("unsupported ingest snapshot version {version}"));
-        }
-        let tenant = String::from_value(map_get(m, "tenant")).map_err(|e| e.to_string())?;
+        let file: IngestFile = serde_json::from_str(json).map_err(|e| e.to_string())?;
         // The knobs of the frame that opened the session.
-        let mut knobs = IngestRequest::new(tenant, map_get(m, "catalog").clone(), "");
-        let window = |key: &str| Option::from_value(map_get(m, key)).map_err(|e| e.to_string());
-        knobs.window = window("window_count")?;
-        knobs.window_secs = window("window_log_secs")?;
+        let mut knobs = IngestRequest::new(file.tenant, file.catalog, "");
+        knobs.window = file.window_count;
+        knobs.window_secs = file.window_log_secs;
         if knobs.window.is_none() && knobs.window_secs.is_none() {
             return Err("snapshot carries no window policy".into());
         }
-        if let Value::U64(bits) = map_get(m, "gamma_bits") {
-            knobs.gamma = GammaSpec::Fixed(f64::from_bits(*bits));
+        if let Some(g) = file.gamma_bits {
+            knobs.gamma = GammaSpec::Fixed(g);
         }
-        knobs.warmup = u("warmup")?;
-        knobs.cooldown = u("cooldown")?;
-
-        let carry: Vec<u8> =
-            Vec::from_value(map_get(m, "carry")).map_err(|e| format!("carry: {e}"))?;
-        let stats =
-            StreamStats::from_value(map_get(m, "stats")).map_err(|e| format!("stats: {e}"))?;
-        let cache_resets = u("cache_resets")?;
-        let snapshot = snapshot_from_value(map_get(m, "advisor"))?;
+        knobs.warmup = file.warmup;
+        knobs.cooldown = file.cooldown;
         let mut session = Self::create(&knobs, clock.clone())?;
-        session.stream = LogStream::restore(carry, stats, cache_resets);
+        session.stream = LogStream::restore(file.carry, file.stats, file.cache_resets);
         let config = session.advisor.config().clone();
-        session.advisor = OnlineAdvisor::restore(config, clock, snapshot);
+        session.advisor = OnlineAdvisor::restore(config, clock, file.advisor);
         Ok(session)
     }
 }
 
-fn workload_from_value(v: &Value) -> Result<Workload, String> {
-    let mut w = Workload::from_value(v).map_err(|e| e.to_string())?;
-    // The signature index is `#[serde(skip)]`; rebuild it so later
-    // arrivals still accumulate instead of duplicating entries.
-    w.rebuild_index();
-    Ok(w)
-}
-
-fn snapshot_to_value(s: &AdvisorSnapshot) -> Value {
-    Value::Map(vec![
-        ("window_index".into(), Value::U64(s.window_index)),
-        ("current".into(), s.current.to_value()),
-        (
-            "window_start_ts".into(),
-            match s.window_start_ts {
-                Some(ts) => Value::U64(ts),
-                None => Value::Null,
-            },
-        ),
-        (
-            // ClockTime policy only: ms already consumed by the open
-            // window, re-anchored against the restoring daemon's clock.
-            "window_elapsed_clock_ms".into(),
-            match s.window_elapsed_clock_ms {
-                Some(ms) => Value::U64(ms),
-                None => Value::Null,
-            },
-        ),
-        ("last_ts".into(), Value::U64(s.last_ts)),
-        (
-            "prev".into(),
-            match &s.prev {
-                Some(w) => w.to_value(),
-                None => Value::Null,
-            },
-        ),
-        (
-            "history".into(),
-            Value::Seq(s.history.iter().map(Workload::to_value).collect()),
-        ),
-        (
-            // δ values as bit patterns: the Γ resolution a resumed run
-            // performs must see the exact floats the live run retained.
-            "past_delta_bits".into(),
-            Value::Seq(
-                s.past_deltas
-                    .iter()
-                    .map(|d| Value::U64(d.to_bits()))
-                    .collect(),
-            ),
-        ),
-        ("cooldown_left".into(), Value::U64(s.cooldown_left)),
-        ("armed".into(), Value::Bool(s.armed)),
-        (
-            "triggers".into(),
-            Value::Seq(s.triggers.iter().map(|&t| Value::U64(t)).collect()),
-        ),
-    ])
-}
-
-fn snapshot_from_value(v: &Value) -> Result<AdvisorSnapshot, String> {
-    let m = v.as_map().ok_or("advisor snapshot must be an object")?;
-    let u = |key: &str| u64::from_value(map_get(m, key)).map_err(|e| e.to_string());
-    let prev = match map_get(m, "prev") {
-        Value::Null => None,
-        v => Some(workload_from_value(v)?),
-    };
-    let history = match map_get(m, "history") {
-        Value::Seq(items) => items
-            .iter()
-            .map(workload_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("advisor history must be a sequence".into()),
-    };
-    let delta_bits: Vec<u64> =
-        Vec::from_value(map_get(m, "past_delta_bits")).map_err(|e| e.to_string())?;
-    Ok(AdvisorSnapshot {
-        window_index: u("window_index")?,
-        current: workload_from_value(map_get(m, "current"))?,
-        window_start_ts: match map_get(m, "window_start_ts") {
-            Value::Null => None,
-            v => Some(u64::from_value(v).map_err(|e| e.to_string())?),
-        },
-        window_elapsed_clock_ms: match map_get(m, "window_elapsed_clock_ms") {
-            Value::Null => None,
-            v => Some(u64::from_value(v).map_err(|e| e.to_string())?),
-        },
-        last_ts: u("last_ts")?,
-        prev,
-        history,
-        past_deltas: delta_bits.into_iter().map(f64::from_bits).collect(),
-        cooldown_left: u("cooldown_left")?,
-        armed: bool::from_value(map_get(m, "armed")).map_err(|e| e.to_string())?,
-        triggers: Vec::from_value(map_get(m, "triggers")).map_err(|e| e.to_string())?,
-    })
+/// The ingest snapshot file ([`IngestSession::to_json`]): the opening
+/// frame's tenant, catalog and knobs, then the stream's and the
+/// advisor's state. Exactly one window key is present, and either
+/// `gamma_bits` (a fixed Γ) or `"gamma":"auto"`.
+#[derive(Serialize, Deserialize)]
+struct IngestFile {
+    version: Version<1>,
+    tenant: String,
+    /// The catalog as the first frame carried it.
+    catalog: Value,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    window_count: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    window_log_secs: Option<u64>,
+    #[serde(with = "serde::bits", skip_serializing_if = "Option::is_none")]
+    gamma_bits: Option<f64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    gamma: Option<String>,
+    warmup: u64,
+    cooldown: u64,
+    carry: Vec<u8>,
+    stats: StreamStats,
+    cache_resets: u64,
+    advisor: AdvisorSnapshot,
 }
 
 #[cfg(test)]

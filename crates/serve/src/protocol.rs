@@ -39,7 +39,7 @@ use cliffguard_core::gamma::GammaPolicy;
 use cliffguard_core::{OnlineAdvisorConfig, WindowPolicy};
 use cliffguard_storage::Catalog;
 use cliffguard_workload::{window_secs, SECS_PER_DAY};
-use serde::{map_get, Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{map_get, Deserialize, Serialize, Value};
 
 /// Maximum accepted frame length (bytes). A daemon reading a socket must
 /// bound memory per frame; 64 MiB comfortably fits a multi-month query
@@ -628,7 +628,11 @@ impl DesignStatus {
 }
 
 /// The audited outcome of one completed design session.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The three replica fields are absent on the wire when unreplicated
+/// (`replicas` 1, fingerprint 0, no audit) and default when absent, so
+/// results persisted before replication existed still parse.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesignReport {
     /// Order-insensitive structure hash of the final design.
     pub fingerprint: u64,
@@ -637,6 +641,7 @@ pub struct DesignReport {
     /// Storage price of the design (bytes).
     pub price_bytes: u64,
     /// The Γ the session ran with (resolved if the request said `auto`).
+    #[serde(rename = "gamma_bits", with = "serde::bits")]
     pub gamma: f64,
     /// The budget the session ran with (resolved if `auto`).
     pub budget_bytes: u64,
@@ -653,102 +658,29 @@ pub struct DesignReport {
     pub worst_case_bits: Vec<u64>,
     /// The design, rendered as DDL.
     pub ddl: String,
-    /// Replica fleet size the request asked for (1 = unreplicated; the
-    /// three replica fields below are absent on the wire when 1, so
-    /// PR-5-era persisted results still parse).
+    /// Replica fleet size the request asked for (1 = unreplicated).
+    #[serde(skip_serializing_if = "is_one", default = "one")]
     pub replicas: u64,
     /// Order-insensitive fingerprint of the replicated design *set*
     /// (0 when unreplicated).
+    #[serde(skip_serializing_if = "is_zero", default = "u64::default")]
     pub replica_set_fingerprint: u64,
     /// The deterministic replica audit (JSON, see
     /// `cliffguard_core::ReplicaAudit::to_json`), when `replicas > 1`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub replica_audit: Option<String>,
 }
 
-impl Serialize for DesignReport {
-    fn to_value(&self) -> Value {
-        let mut v = Value::Map(vec![
-            ("fingerprint".into(), Value::U64(self.fingerprint)),
-            ("structures".into(), Value::U64(self.structures as u64)),
-            ("price_bytes".into(), Value::U64(self.price_bytes)),
-            ("gamma_bits".into(), Value::U64(self.gamma.to_bits())),
-            ("budget_bytes".into(), Value::U64(self.budget_bytes)),
-            (
-                "designer_calls".into(),
-                Value::U64(self.designer_calls as u64),
-            ),
-            ("retries".into(), Value::U64(self.retries as u64)),
-            ("faults".into(), Value::U64(self.faults as u64)),
-            (
-                "degraded".into(),
-                match &self.degraded {
-                    Some(r) => Value::Str(r.clone()),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "worst_case_bits".into(),
-                Value::Seq(
-                    self.worst_case_bits
-                        .iter()
-                        .map(|&b| Value::U64(b))
-                        .collect(),
-                ),
-            ),
-            ("ddl".into(), Value::Str(self.ddl.clone())),
-        ]);
-        if self.replicas > 1 {
-            let Value::Map(m) = &mut v else {
-                unreachable!()
-            };
-            m.push(("replicas".into(), Value::U64(self.replicas)));
-            m.push((
-                "replica_set_fingerprint".into(),
-                Value::U64(self.replica_set_fingerprint),
-            ));
-            m.push((
-                "replica_audit".into(),
-                match &self.replica_audit {
-                    Some(a) => Value::Str(a.clone()),
-                    None => Value::Null,
-                },
-            ));
-        }
-        v
-    }
+fn one() -> u64 {
+    1
 }
 
-impl Deserialize for DesignReport {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| SerdeError::msg("report: expected map"))?;
-        let bits: Vec<u64> = Vec::from_value(map_get(m, "worst_case_bits"))?;
-        Ok(Self {
-            fingerprint: u64::from_value(map_get(m, "fingerprint"))?,
-            structures: u64::from_value(map_get(m, "structures"))? as usize,
-            price_bytes: u64::from_value(map_get(m, "price_bytes"))?,
-            gamma: f64::from_bits(u64::from_value(map_get(m, "gamma_bits"))?),
-            budget_bytes: u64::from_value(map_get(m, "budget_bytes"))?,
-            designer_calls: u64::from_value(map_get(m, "designer_calls"))? as usize,
-            retries: u64::from_value(map_get(m, "retries"))? as usize,
-            faults: u64::from_value(map_get(m, "faults"))? as usize,
-            degraded: Option::<String>::from_value(map_get(m, "degraded"))?,
-            worst_case_bits: bits,
-            ddl: String::from_value(map_get(m, "ddl"))?,
-            // Replica fields default when absent: result.json files
-            // persisted before replication existed must still parse.
-            replicas: match map_get(m, "replicas") {
-                Value::Null => 1,
-                v => u64::from_value(v)?,
-            },
-            replica_set_fingerprint: match map_get(m, "replica_set_fingerprint") {
-                Value::Null => 0,
-                v => u64::from_value(v)?,
-            },
-            replica_audit: Option::<String>::from_value(map_get(m, "replica_audit"))?,
-        })
-    }
+fn is_one(n: &u64) -> bool {
+    *n == 1
+}
+
+fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 /// One flight-recorder dump as the `dump` verb reports it.

@@ -90,9 +90,7 @@ impl DesignInputs {
     /// Decodes and checks a request's inputs; `Err` is the reason the
     /// request is rejected.
     pub fn new(req: &DesignRequest) -> Result<Self, String> {
-        let mut catalog =
-            Catalog::from_value(&req.catalog).map_err(|e| format!("bad catalog: {e}"))?;
-        catalog.rebuild_index();
+        let catalog = Catalog::from_value(&req.catalog).map_err(|e| format!("bad catalog: {e}"))?;
         let (log, import) = import_log(&req.log, &catalog);
         if log.is_empty() {
             return Err(format!(
@@ -157,7 +155,6 @@ impl DesignInputs {
             replicas: self.replicas,
             max_failures: self.max_failures,
             faults: self.faults.clone(),
-            ..ReplicaOptions::default()
         };
         let nominal = self.nominal();
         design_replicated(

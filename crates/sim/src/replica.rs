@@ -21,9 +21,8 @@
 //!   same entry order, same operations — so the replicated objective
 //!   reduces bit-for-bit to the uniform one.
 //! * **Failure masks**: a mask (bit `i` set = replica `i` crashed)
-//!   reroutes each query to the argmin *surviving* replica; an optional
-//!   inflation factor models the capacity squeeze on survivors. A factor
-//!   of exactly `1.0` skips the multiplication, preserving bit-identity.
+//!   reroutes each query to the argmin *surviving* replica, at that
+//!   replica's own (scaled) latency.
 
 use crate::engine::WorkloadCost;
 use crate::kernel::DesignEpoch;
@@ -142,29 +141,22 @@ impl QueryRouter {
         }
     }
 
-    /// The routed latency of `id` under `mask`, inflated by `inflation`
-    /// (surviving-capacity factor; exactly `1.0` skips the multiply).
+    /// The routed latency of `id` under `mask`.
     #[inline]
-    pub fn routed_latency_ms(&self, id: QueryId, mask: u32, inflation: f64) -> Option<f64> {
+    pub fn routed_latency_ms(&self, id: QueryId, mask: u32) -> Option<f64> {
         let r = self.route_masked(id, mask)?;
-        let l = self.scaled(r, id.index());
-        Some(if inflation == 1.0 { l } else { l * inflation })
+        Some(self.scaled(r, id.index()))
     }
 
     /// The cost of `w` with every query served by its argmin surviving
-    /// replica under `mask`, latencies inflated by `inflation`. Returns
-    /// `None` when the mask crashes the entire fleet.
+    /// replica under `mask`. Returns `None` when the mask crashes the
+    /// entire fleet.
     ///
     /// The fold mirrors [`CostKernel::workload_cost`](crate::CostKernel::workload_cost)
     /// operation-for-operation in entry order, so with one replica, mask
-    /// `0`, unit scales, and `inflation == 1.0` the result is
-    /// bit-identical to the unreplicated kernel cost.
-    pub fn routed_workload_cost(
-        &self,
-        w: &InternedWorkload,
-        mask: u32,
-        inflation: f64,
-    ) -> Option<WorkloadCost> {
+    /// `0` and unit scales the result is bit-identical to the
+    /// unreplicated kernel cost.
+    pub fn routed_workload_cost(&self, w: &InternedWorkload, mask: u32) -> Option<WorkloadCost> {
         if (0..self.epochs.len()).all(|r| mask & (1u32 << r) != 0) {
             return None;
         }
@@ -173,7 +165,7 @@ impl QueryRouter {
         let mut weight = 0.0;
         let ids = w.ids();
         let wts = w.weights();
-        if mask == 0 && inflation == 1.0 {
+        if mask == 0 {
             // Healthy-fleet fast path: a branch-free pass over the flat
             // id/weight slices and the precomputed route table — same
             // operations in the same entry order as the general path, so
@@ -187,7 +179,7 @@ impl QueryRouter {
             }
         } else {
             for (&id, &wt) in ids.iter().zip(wts) {
-                let l = self.routed_latency_ms(QueryId(id), mask, inflation)?;
+                let l = self.routed_latency_ms(QueryId(id), mask)?;
                 total += l * wt;
                 weight += wt;
                 max = max.max(l);
@@ -266,9 +258,10 @@ mod tests {
     #[test]
     fn unit_inflation_is_bit_exact() {
         let r = QueryRouter::new(vec![epoch(1, &[3.5])]);
-        let l = r.routed_latency_ms(QueryId(0), 0, 1.0).unwrap();
+        let l = r.routed_latency_ms(QueryId(0), 0).unwrap();
         assert_eq!(l.to_bits(), 3.5f64.to_bits());
-        let inflated = r.routed_latency_ms(QueryId(0), 0, 1.5).unwrap();
+        let slow = QueryRouter::with_scales(vec![epoch(1, &[3.5])], vec![1.5]);
+        let inflated = slow.routed_latency_ms(QueryId(0), 0).unwrap();
         assert_eq!(inflated.to_bits(), (3.5f64 * 1.5).to_bits());
     }
 

@@ -2,7 +2,7 @@
 
 use crate::stats::ColumnStats;
 use cliffguard_workload::{ColumnId, NameResolver, PredOp, TableId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::HashMap;
 
 /// Definition of one column.
@@ -37,7 +37,12 @@ impl TableDef {
 
 /// The database catalog. Owns all schema and statistics information the
 /// simulators and designers need, and resolves SQL names for the parser.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// On the wire a catalog is its `tables` plus their `offsets`. Decoding
+/// builds the catalog from the tables by [`new`](Self::new)'s rule and
+/// refuses what `new` asserts against, and stored `offsets` that disagree
+/// with the tables, so every catalog, built or decoded, is complete.
+#[derive(Debug, Clone, Serialize)]
 pub struct Catalog {
     tables: Vec<TableDef>,
     /// Global column id of each table's first column.
@@ -45,23 +50,36 @@ pub struct Catalog {
     #[serde(skip)]
     by_name: HashMap<String, TableId>,
     /// Per global column id: its table and its position in that table.
-    /// Derived like `by_name`; when it is absent (a deserialized catalog
-    /// before [`rebuild_index`](Self::rebuild_index)), lookups binary-search
-    /// `offsets` instead.
     #[serde(skip)]
     slots: Vec<(u32, u32)>,
 }
 
 impl Catalog {
     /// Builds a catalog from table definitions.
+    ///
+    /// # Panics
+    ///
+    /// If there are no tables, or a table has no columns.
     pub fn new(tables: Vec<TableDef>) -> Self {
-        assert!(!tables.is_empty(), "catalog needs at least one table");
+        Self::build(tables).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), reporting what it refuses as an error.
+    fn build(tables: Vec<TableDef>) -> Result<Self, String> {
+        if tables.is_empty() {
+            return Err("catalog needs at least one table".into());
+        }
         let mut offsets = Vec::with_capacity(tables.len());
         let mut acc = 0u32;
         for t in &tables {
-            assert!(!t.columns.is_empty(), "table `{}` has no columns", t.name);
+            if t.columns.is_empty() {
+                return Err(format!("table `{}` has no columns", t.name));
+            }
             offsets.push(acc);
-            acc += t.columns.len() as u32;
+            acc = u32::try_from(t.columns.len())
+                .ok()
+                .and_then(|n| acc.checked_add(n))
+                .ok_or("catalog has more than u32::MAX columns")?;
         }
         let mut catalog = Self {
             tables,
@@ -70,10 +88,12 @@ impl Catalog {
             slots: Vec::new(),
         };
         catalog.rebuild_index();
-        catalog
+        Ok(catalog)
     }
 
-    /// Rebuilds derived lookup state after deserialization.
+    /// Recomputes the derived lookup state (the name map and the
+    /// per-column lookup array). Every constructor, decoding included,
+    /// already runs it.
     pub fn rebuild_index(&mut self) {
         self.by_name = self
             .tables
@@ -116,31 +136,12 @@ impl Catalog {
 
     /// The table owning a global column id.
     pub fn table_of(&self, c: ColumnId) -> TableId {
-        match self.slots.get(c.0 as usize) {
-            Some(&(t, _)) => TableId(t),
-            None => self.table_of_by_search(c),
-        }
-    }
-
-    /// [`table_of`](Self::table_of) by binary search over the tables'
-    /// first column ids.
-    fn table_of_by_search(&self, c: ColumnId) -> TableId {
-        let i = match self.offsets.binary_search(&c.0) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        TableId(i as u32)
+        TableId(self.slots[c.0 as usize].0)
     }
 
     /// Column definition by global id.
     pub fn column(&self, c: ColumnId) -> &ColumnDef {
-        let (t, k) = match self.slots.get(c.0 as usize) {
-            Some(&slot) => slot,
-            None => {
-                let t = self.table_of_by_search(c).0;
-                (t, c.0 - self.offsets[t as usize])
-            }
-        };
+        let (t, k) = self.slots[c.0 as usize];
         &self.tables[t as usize].columns[k as usize]
     }
 
@@ -159,6 +160,22 @@ impl Catalog {
     /// column (overrides the parser's static defaults).
     pub fn estimate_selectivity(&self, c: ColumnId, op: PredOp) -> f64 {
         self.column(c).stats.selectivity(op)
+    }
+}
+
+impl Deserialize for Catalog {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            tables: Vec<TableDef>,
+            offsets: Vec<u32>,
+        }
+        let wire = Wire::from_value(v)?;
+        let catalog = Catalog::build(wire.tables).map_err(Error::msg)?;
+        if catalog.offsets != wire.offsets {
+            return Err(Error::msg("offsets do not match the tables"));
+        }
+        Ok(catalog)
     }
 }
 
@@ -287,12 +304,17 @@ mod tests {
             .collect()
     }
 
+    /// The lookup array against a binary search over the tables' first
+    /// column ids.
     #[test]
     fn array_lookups_match_the_binary_search() {
         let check = |c: &Catalog| {
             for id in 0..c.column_count() as u32 {
                 let col = ColumnId(id);
-                let t = c.table_of_by_search(col);
+                let t = match c.offsets.binary_search(&id) {
+                    Ok(i) => TableId(i as u32),
+                    Err(i) => TableId(i as u32 - 1),
+                };
                 assert_eq!(c.table_of(col), t);
                 let k = (id - c.offsets[t.index()]) as usize;
                 assert!(std::ptr::eq(c.column(col), &c.table(t).columns[k]));
@@ -301,14 +323,43 @@ mod tests {
         for c in generated() {
             assert_eq!(c.slots.len(), c.column_count());
             check(&c);
-            // A serde round trip drops the array: lookups fall back to the
-            // binary search until `rebuild_index` restores it.
-            let mut back = Catalog::from_value(&c.to_value()).expect("catalog round-trips");
-            assert!(back.slots.is_empty());
-            check(&back);
-            back.rebuild_index();
+            // A serde round trip decodes a complete catalog.
+            let back = Catalog::from_value(&c.to_value()).expect("catalog round-trips");
             assert_eq!(back.slots, c.slots);
             check(&back);
+        }
+    }
+
+    /// Decoding refuses what `new` asserts against, and stored offsets
+    /// that disagree with the tables.
+    #[test]
+    fn decoding_refuses_an_incomplete_catalog() {
+        let good = catalog().to_value();
+        assert!(Catalog::from_value(&good).is_ok());
+        let with = |key: &str, value: Value| {
+            let Value::Map(mut m) = good.clone() else {
+                panic!("a catalog is a map");
+            };
+            m.iter_mut().find(|(k, _)| k == key).expect("key present").1 = value;
+            Value::Map(m)
+        };
+        let no_columns = {
+            let mut c = catalog();
+            c.tables[1].columns.clear();
+            c.to_value()
+        };
+        for (bad, why) in [
+            (with("offsets", Value::Seq(vec![])), "offsets do not match"),
+            (
+                with("offsets", Value::Seq(vec![Value::U64(0), Value::U64(0)])),
+                "offsets do not match",
+            ),
+            (with("offsets", Value::Null), "offsets: expected sequence"),
+            (with("tables", Value::Seq(vec![])), "at least one table"),
+            (no_columns, "table `dim` has no columns"),
+        ] {
+            let err = Catalog::from_value(&bad).expect_err(why).to_string();
+            assert!(err.contains(why), "{why}: {err}");
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::query::{Query, QuerySignature, SignatureMap, SignatureSet};
 use crate::template::Template;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
 
 /// A query together with its (raw, unnormalized) weight in a workload.
@@ -28,10 +28,10 @@ pub struct WeightedQuery {
 /// kept next to it: entries are only ever appended (no method drops one),
 /// so [`iter_signed`](Self::iter_signed) hands callers a signature that
 /// is still the query's, and they key their own maps with it instead of
-/// hashing the query again. Signatures and the index are derived state,
-/// skipped by serde; [`rebuild_index`](Self::rebuild_index) restores both
-/// after deserialization.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// hashing the query again. Signatures and the index are derived state:
+/// serde writes the entries only, and decoding recomputes both, so a
+/// decoded workload is as complete as a built one.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Workload {
     entries: Vec<WeightedQuery>,
     /// `sigs[i]` is `entries[i].query.signature()`.
@@ -136,14 +136,7 @@ impl Workload {
 
     /// Iterates `(signature, query, raw_weight)` in entry order, with each
     /// query's stored signature.
-    ///
-    /// Panics on a deserialized workload whose index was not rebuilt.
     pub fn iter_signed(&self) -> impl Iterator<Item = (QuerySignature, &Arc<Query>, f64)> {
-        assert_eq!(
-            self.sigs.len(),
-            self.entries.len(),
-            "call `rebuild_index` after deserializing a workload"
-        );
         self.sigs
             .iter()
             .zip(&self.entries)
@@ -174,7 +167,7 @@ impl Workload {
 
     /// Union of two workloads (weights added).
     pub fn union(&self, other: &Workload) -> Workload {
-        let mut w = self.clone_rebuilt();
+        let mut w = self.clone();
         w.merge_scaled(other, 1.0);
         w
     }
@@ -189,21 +182,23 @@ impl Workload {
             .map(|(_, f)| f)
             .sum()
     }
+}
 
-    /// Rebuilds the stored signatures and the signature index (needed
-    /// after deserialization, where both are skipped). Also used
-    /// internally by `clone`-then-mutate paths.
-    pub fn rebuild_index(&mut self) {
-        self.sigs = self.entries.iter().map(|e| e.query.signature()).collect();
-        self.index = self.sigs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    }
-
-    fn clone_rebuilt(&self) -> Workload {
-        let mut w = self.clone();
-        if w.sigs.len() != w.entries.len() || w.index.len() != w.entries.len() {
-            w.rebuild_index();
+impl Deserialize for Workload {
+    /// Decodes the entries and recomputes their signatures and the index.
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        #[derive(Deserialize)]
+        struct Entries {
+            entries: Vec<WeightedQuery>,
         }
-        w
+        let entries = Entries::from_value(v)?.entries;
+        let sigs: Vec<QuerySignature> = entries.iter().map(|e| e.query.signature()).collect();
+        let index = sigs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        Ok(Self {
+            entries,
+            sigs,
+            index,
+        })
     }
 }
 
@@ -323,7 +318,7 @@ mod tests {
     }
 
     /// Every entry carries its own query's signature, however it was
-    /// added, and a serde round trip plus `rebuild_index` restores them.
+    /// added, and a serde round trip restores them.
     #[test]
     fn stored_signatures_are_the_queries_own() {
         let signed = |w: &Workload| {
@@ -355,8 +350,7 @@ mod tests {
             }
             other => panic!("workload serialized as {other:?}"),
         }
-        let mut back = Workload::from_value(&value).expect("workload round-trips");
-        back.rebuild_index();
+        let back = Workload::from_value(&value).expect("workload round-trips");
         signed(&back);
         let bits = |w: &Workload| -> Vec<(u64, u64)> {
             w.iter_signed()
@@ -365,14 +359,6 @@ mod tests {
         };
         assert_eq!(bits(&back), bits(&w));
         assert_eq!(back.weight_of(&q(&[3])), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rebuild_index")]
-    fn signed_iteration_needs_a_rebuilt_index() {
-        let w = Workload::from_queries([(q(&[1]), 1.0)]);
-        let back = Workload::from_value(&w.to_value()).expect("workload round-trips");
-        let _ = back.iter_signed().count();
     }
 
     #[test]

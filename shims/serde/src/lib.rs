@@ -9,8 +9,14 @@
 //! * [`Deserialize::from_value`] rebuilds a value from a [`Value`] tree.
 //!
 //! The derive macros (`shims/serde_derive`) target these traits and honor
-//! `#[serde(skip)]`. Maps are kept as ordered `Vec<(String, Value)>` so
+//! the field attributes `skip`, `rename`, `with`, `skip_serializing_if`
+//! and `default`. Maps are kept as ordered `Vec<(String, Value)>` so
 //! serialization order is deterministic (declaration order).
+//!
+//! Two pieces serve the workspace's persisted formats, which promise that
+//! a decoded file reproduces the run that wrote it bit for bit: [`bits`],
+//! the one exact-float rule (`#[serde(with = "serde::bits")]`), and
+//! [`Version`], a format's version key.
 
 #![forbid(unsafe_code)]
 
@@ -88,6 +94,14 @@ impl Error {
     pub fn custom(msg: impl fmt::Display) -> Self {
         Self {
             msg: msg.to_string(),
+        }
+    }
+
+    /// Prefixes the message with the map key whose value failed to
+    /// decode (derived impls call this, so a nested error names its path).
+    pub fn in_field(self, key: &str) -> Self {
+        Self {
+            msg: format!("{key}: {}", self.msg),
         }
     }
 }
@@ -402,6 +416,87 @@ impl Deserialize for Value {
     }
 }
 
+/// The exact-float rule of every persisted format: an `f64` travels as
+/// its IEEE-754 bit pattern, a `u64`, so a JSON round trip cannot perturb
+/// it (decimal text would round, and NaN would become `null`). Use it as
+/// `#[serde(with = "serde::bits")]` on an `f64`, `Option<f64>` or
+/// `Vec<f64>` field.
+pub mod bits {
+    use super::{Deserialize, Error, Value};
+
+    /// A value whose floats travel as bit patterns.
+    pub trait Bits: Sized {
+        /// Renders `self`, every float as its bit pattern.
+        fn to_bits_value(&self) -> Value;
+        /// Rebuilds `Self` from bit patterns.
+        fn from_bits_value(v: &Value) -> Result<Self, Error>;
+    }
+
+    impl Bits for f64 {
+        fn to_bits_value(&self) -> Value {
+            Value::U64(self.to_bits())
+        }
+        fn from_bits_value(v: &Value) -> Result<Self, Error> {
+            u64::from_value(v).map(f64::from_bits)
+        }
+    }
+
+    impl<T: Bits> Bits for Option<T> {
+        fn to_bits_value(&self) -> Value {
+            self.as_ref().map_or(Value::Null, T::to_bits_value)
+        }
+        fn from_bits_value(v: &Value) -> Result<Self, Error> {
+            match v {
+                Value::Null => Ok(None),
+                v => T::from_bits_value(v).map(Some),
+            }
+        }
+    }
+
+    impl<T: Bits> Bits for Vec<T> {
+        fn to_bits_value(&self) -> Value {
+            Value::Seq(self.iter().map(T::to_bits_value).collect())
+        }
+        fn from_bits_value(v: &Value) -> Result<Self, Error> {
+            match v {
+                Value::Seq(items) => items.iter().map(T::from_bits_value).collect(),
+                _ => Err(Error::msg("expected sequence")),
+            }
+        }
+    }
+
+    /// Serializes `x` with its floats as bit patterns.
+    pub fn to_value<T: Bits>(x: &T) -> Value {
+        x.to_bits_value()
+    }
+
+    /// Rebuilds a value serialized by [`to_value`].
+    pub fn from_value<T: Bits>(v: &Value) -> Result<T, Error> {
+        T::from_bits_value(v)
+    }
+}
+
+/// A format's version key: serializes as `N` and refuses any other
+/// number, so a file written by an incompatible format is an error, not
+/// a misread. Make it a format's first field to write `"version"` first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Version<const N: u64>;
+
+impl<const N: u64> Serialize for Version<N> {
+    fn to_value(&self) -> Value {
+        Value::U64(N)
+    }
+}
+
+impl<const N: u64> Deserialize for Version<N> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match u64::from_value(v)? {
+            n if n == N => Ok(Version),
+            n => Err(Error::msg(format!("unsupported version {n}"))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,5 +522,26 @@ mod tests {
         let m = vec![("a".to_string(), Value::U64(1))];
         assert_eq!(map_get(&m, "a"), &Value::U64(1));
         assert_eq!(map_get(&m, "b"), &Value::Null);
+    }
+
+    #[test]
+    fn bits_round_trip_every_float_exactly() {
+        let xs = vec![0.1 + 0.2, -0.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE];
+        let back: Vec<f64> = bits::from_value(&bits::to_value(&xs)).unwrap();
+        let pattern = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(pattern(&back), pattern(&xs));
+        assert_eq!(bits::to_value(&1.5f64), Value::U64(1.5f64.to_bits()));
+        assert_eq!(bits::to_value(&None::<f64>), Value::Null);
+        assert_eq!(bits::from_value::<Option<f64>>(&Value::Null).unwrap(), None);
+        assert!(bits::from_value::<f64>(&Value::F64(1.5)).is_err());
+    }
+
+    #[test]
+    fn version_refuses_other_numbers() {
+        assert_eq!(Version::<1>.to_value(), Value::U64(1));
+        assert!(Version::<1>::from_value(&Value::U64(1)).is_ok());
+        let e = Version::<1>::from_value(&Value::U64(2)).unwrap_err();
+        assert_eq!(e.to_string(), "unsupported version 2");
+        assert!(Version::<1>::from_value(&Value::Null).is_err());
     }
 }

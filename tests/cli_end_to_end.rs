@@ -604,3 +604,52 @@ fn evaluate_refuses_a_zero_budget() {
 fn ingest_refuses_a_zero_budget() {
     assert_refused("ingest", &["--budget", "0"], ZERO_BUDGET);
 }
+
+/// `cliffguard design` refuses a catalog whose `offsets` disagree with its
+/// tables (emptied, or all zero) or whose table has no columns: exit 1
+/// and `bad catalog`, not a panic and not a design for the wrong columns.
+#[test]
+fn design_refuses_a_corrupt_catalog() {
+    let dir = tmpdir("corrupt-catalog");
+    let (catalog, log) = generate(&dir);
+    let good: serde::Value =
+        serde_json::from_str(&std::fs::read_to_string(&catalog).unwrap()).unwrap();
+    let with = |key: &str, edit: &dyn Fn(&mut serde::Value)| {
+        let serde::Value::Map(mut m) = good.clone() else {
+            panic!("a catalog is a JSON object");
+        };
+        edit(&mut m.iter_mut().find(|(k, _)| k == key).expect("key present").1);
+        serde::Value::Map(m)
+    };
+    let empty = with("offsets", &|v| *v = serde::Value::Seq(vec![]));
+    let zeros = with("offsets", &|v| {
+        if let serde::Value::Seq(items) = v {
+            items.iter_mut().for_each(|o| *o = serde::Value::U64(0));
+        }
+    });
+    let no_columns = with("tables", &|v| {
+        let serde::Value::Seq(tables) = v else {
+            panic!("tables is an array");
+        };
+        let serde::Value::Map(table) = &mut tables[0] else {
+            panic!("a table is an object");
+        };
+        table.iter_mut().find(|(k, _)| k == "columns").unwrap().1 = serde::Value::Seq(vec![]);
+    });
+    for (what, bad) in [
+        ("empty offsets", empty),
+        ("zero offsets", zeros),
+        ("no columns", no_columns),
+    ] {
+        let path = dir.join("bad.json");
+        std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+        let out = Command::new(bin())
+            .args(["design", "--catalog", path.to_str().unwrap(), "--log", &log])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(stderr.contains("bad catalog"), "{what}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -82,8 +82,8 @@ proptest! {
             });
             for q in 0..a.query_count() {
                 let id = QueryId(q as u32);
-                let la = a.routed_latency_ms(id, mask, 1.0);
-                let lb = b.routed_latency_ms(id, mask_p, 1.0);
+                let la = a.routed_latency_ms(id, mask);
+                let lb = b.routed_latency_ms(id, mask_p);
                 prop_assert_eq!(la.map(f64::to_bits), lb.map(f64::to_bits));
             }
         }
@@ -124,7 +124,7 @@ fn degenerate_fleet_reduces_bit_for_bit_to_the_uniform_minimax() {
         .iter()
         .map(|w| kernel.workload_cost(w, &epoch).avg_ms)
         .fold(0.0f64, f64::max);
-    assert_eq!(out.audit.worst_case_bits, direct.to_bits());
+    assert_eq!(out.audit.worst_case.to_bits(), direct.to_bits());
     assert_eq!(out.audit.worst_mask, 0);
     assert_eq!(out.design.len(), 1);
     assert_eq!(
@@ -154,7 +154,6 @@ fn env_injected_crash_faults_never_panic_and_audit_identically_across_threads() 
         replicas: 3,
         max_failures: 1,
         faults: Some(plan),
-        ..ReplicaOptions::default()
     };
 
     let mut baseline: Option<String> = None;
@@ -172,7 +171,7 @@ fn env_injected_crash_faults_never_panic_and_audit_identically_across_threads() 
             "{}",
             audit.to_json()
         );
-        let shares = audit.routing_shares();
+        let shares = &audit.routing_shares;
         assert_eq!(
             shares[1].to_bits(),
             0.0f64.to_bits(),
@@ -208,10 +207,10 @@ fn divergent_fleets_are_never_worse_than_uniform_under_any_crash_budget() {
         let out = design_replicated(&engine, &designer, &base, &windows, budget, &opts)
             .expect("fleet design runs");
         assert!(
-            out.audit.worst_case() <= out.audit.uniform_worst_case(),
+            out.audit.worst_case <= out.audit.uniform_worst_case,
             "R={replicas} k={max_failures}: divergent {} > uniform {}",
-            out.audit.worst_case(),
-            out.audit.uniform_worst_case()
+            out.audit.worst_case,
+            out.audit.uniform_worst_case
         );
         for replica in &out.design.replicas {
             assert!(replica.price_bytes(engine.catalog()) <= budget);

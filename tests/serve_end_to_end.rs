@@ -559,3 +559,71 @@ fn a_catalog_frame_resets_a_stale_abandoned_session() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ------------------------------------------------------- corrupt catalogs --
+
+/// `catalog` three ways broken: `offsets` emptied, `offsets` all zero (the
+/// right length, the wrong column ids) and a table without columns.
+fn corrupt_catalogs(catalog: &Value) -> Vec<(&'static str, Value)> {
+    let with = |key: &str, edit: &dyn Fn(&mut Value)| {
+        let Value::Map(mut m) = catalog.clone() else {
+            panic!("a catalog is a JSON object");
+        };
+        edit(&mut m.iter_mut().find(|(k, _)| k == key).expect("key present").1);
+        Value::Map(m)
+    };
+    let zeros = |v: &mut Value| {
+        if let Value::Seq(items) = v {
+            items.iter_mut().for_each(|o| *o = Value::U64(0));
+        }
+    };
+    let no_columns = |v: &mut Value| {
+        let Value::Seq(tables) = v else {
+            panic!("tables is an array");
+        };
+        let Value::Map(table) = &mut tables[0] else {
+            panic!("a table is an object");
+        };
+        table.iter_mut().find(|(k, _)| k == "columns").unwrap().1 = Value::Seq(vec![]);
+    };
+    vec![
+        (
+            "empty offsets",
+            with("offsets", &|v| *v = Value::Seq(vec![])),
+        ),
+        ("zero offsets", with("offsets", &zeros)),
+        ("a table without columns", with("tables", &no_columns)),
+    ]
+}
+
+/// One `ingest` and one `design` frame per corruption: the ingest frame is
+/// answered with an error and the design with a rejection, both naming
+/// the bad catalog, and the daemon goes on to answer `status` (the
+/// offsets were once indexed on the request loop, which killed it).
+#[test]
+fn a_corrupt_catalog_is_refused_and_the_daemon_keeps_serving() {
+    let (catalog, log) = testdata::catalog_and_log(7);
+    for (what, bad) in corrupt_catalogs(&catalog) {
+        let design = cliffguard_serve::DesignRequest::new("d", bad.clone(), log.clone());
+        let tape = vec![
+            ingest_line(&IngestRequest::new("s", bad, log.clone())),
+            design_line(&design),
+            r#"{"op":"status"}"#.to_string(),
+        ];
+        let out = ServeHarness::new().run_tape(&tape);
+        let replies = parse_output(&out);
+        let reply = |op: &str| {
+            replies
+                .iter()
+                .find(|v| str_field(v, "op") == op)
+                .unwrap_or_else(|| panic!("{what}: no {op} reply in {out}"))
+        };
+        let error = str_field(reply("error"), "reason");
+        assert!(error.contains("bad catalog"), "{what}: {error}");
+        let design = reply("design");
+        assert_eq!(str_field(design, "status"), "rejected", "{what}: {out}");
+        let reason = str_field(design, "reason");
+        assert!(reason.contains("bad catalog"), "{what}: {reason}");
+        reply("status");
+    }
+}
