@@ -76,14 +76,14 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with sensible precision for latency/distance cells.
+/// Formats a float for latency/distance cells: three significant digits
+/// below 10 (`0.0312`, `0.312`, `3.12`), whole numbers from 10 up.
 pub fn fnum(x: f64) -> String {
     if x == 0.0 {
         "0".into()
-    } else if x.abs() < 0.01 {
-        format!("{x:.5}")
     } else if x.abs() < 10.0 {
-        format!("{x:.2}")
+        let decimals = (2 - x.abs().log10().floor() as i32) as usize;
+        format!("{x:.decimals$}")
     } else {
         format!("{x:.0}")
     }
@@ -108,7 +108,13 @@ mod tests {
     fn fnum_ranges() {
         assert_eq!(fnum(0.0), "0");
         assert_eq!(fnum(0.00123), "0.00123");
+        assert_eq!(fnum(0.0312), "0.0312");
+        assert_eq!(fnum(0.04937), "0.0494");
+        assert_eq!(fnum(0.312), "0.312");
         assert_eq!(fnum(1.234), "1.23");
+        assert_eq!(fnum(3.12), "3.12");
+        assert_eq!(fnum(-0.0312), "-0.0312");
+        assert_eq!(fnum(10.4), "10");
         assert_eq!(fnum(1234.6), "1235");
     }
 }

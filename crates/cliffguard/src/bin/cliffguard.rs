@@ -104,8 +104,7 @@ fn usage() {
                      [--warmup N] [--cooldown N] [--no-design]\n\
                      [--budget auto|BYTES] [--faults SPEC]\n\
            serve     [--listen ADDR:PORT] [--state-dir DIR] [--max-concurrent N]\n\
-                     [--max-queue N] [--tenant-deadline-ms N]\n\
-                     [--checkpoint-every N] [--faults SPEC]\n\
+                     [--max-queue N] [--tenant-deadline-ms N] [--faults SPEC]\n\
            evaluate  --catalog CATALOG.json --log LOG.tsv [--budget auto|BYTES]\n\
                      [--window-days N]\n\
            validate-trace --trace TRACE.jsonl|- --schema SCHEMA.json\n\
@@ -648,21 +647,11 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         config.max_queue = n;
     }
     config.tenant_deadline_ms = numeric(opts, "tenant-deadline-ms")?;
-    if let Some(k) = numeric::<usize>(opts, "checkpoint-every")? {
-        config.checkpoint_every = k;
-    }
     // Like `design`, the daemon honors --faults / CLIFFGUARD_FAULTS. The
     // spec is validated here and resolved into each request's envelope at
     // admission, so a persisted session re-runs identically after a
     // restart regardless of the new daemon's defaults.
-    let faults = match opts.get("faults") {
-        Some(spec) => Some(spec.clone()),
-        None => std::env::var(FAULTS_ENV).ok().filter(|s| !s.is_empty()),
-    };
-    if let Some(spec) = &faults {
-        FaultPlan::from_spec(spec).map_err(|e| format!("--faults: {e}"))?;
-    }
-    config.default_faults = faults;
+    config.default_faults = fault_spec(opts)?.map(|(spec, _)| spec);
 
     let mut daemon = Daemon::new(config).map_err(|e| format!("serve: {e}"))?;
     match opts.get("listen").filter(|s| !s.is_empty()) {

@@ -101,8 +101,8 @@ pub mod prelude {
     };
     pub use cliffguard_parallel::{current_threads, set_threads};
     pub use cliffguard_resilience::{
-        session_designer, DegradedReason, FaultCounts, FaultKind, FaultPlan, FaultSpecError,
-        FaultyDesigner, RetryPolicy, SessionClock, FAULTS_ENV,
+        session_designer, DegradedReason, FaultKind, FaultPlan, FaultSpecError, FaultyDesigner,
+        RetryPolicy, SessionClock, FAULTS_ENV,
     };
     pub use cliffguard_sim::{
         ColumnarDesign, ColumnarEngine, CostKernel, DesignEpoch, Engine, Index, KernelStats,

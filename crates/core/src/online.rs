@@ -80,6 +80,15 @@ pub const MAX_WINDOW_CLOSES_PER_ARRIVAL: u64 = 64;
 /// everything outside the advisor's retained windows.
 pub const DEFAULT_INTERN_CAPACITY: usize = 1 << 16;
 
+/// Closed windows before `W0` that a redesign pools its history from:
+/// the one pool horizon of the advisor ([`OnlineAdvisor::design_pool`])
+/// and of the daemon's design path.
+pub const HISTORY_WINDOWS: usize = 4;
+
+/// Past δ values retained for Γ resolution (bounds memory on an
+/// unbounded stream).
+const DELTA_HISTORY: usize = 64;
+
 /// How the arrival stream is cut into windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowPolicy {
@@ -106,34 +115,24 @@ pub struct OnlineAdvisorConfig {
     pub gamma: GammaPolicy,
     /// Total database columns (the metric's `n`).
     pub n_columns: usize,
-    /// Clause mask for the representation vectors.
-    pub mask: ClauseMask,
     /// Windows that must close before the first trigger may fire (≥ 1; δ
     /// exists only from the second window on).
     pub warmup: usize,
     /// Window closes suppressed after each trigger; a disarmed advisor
     /// re-arms at the first post-cooldown close with `δ ≤ Γ`.
     pub cooldown: usize,
-    /// Closed windows retained as the historical pool for redesigns.
-    pub history: usize,
-    /// Past δ values retained for Γ resolution (bounds memory on an
-    /// unbounded stream).
-    pub delta_history: usize,
 }
 
 impl OnlineAdvisorConfig {
     /// Sensible defaults: 64-arrival windows, [`GammaPolicy::AUTO`] (1.5 ×
-    /// max past δ), warmup 1, cooldown 1, 4-window pool.
+    /// max past δ), warmup 1, cooldown 1.
     pub fn new(n_columns: usize) -> Self {
         Self {
             window: WindowPolicy::Count(64),
             gamma: GammaPolicy::AUTO,
             n_columns,
-            mask: ClauseMask::SWGO,
             warmup: 1,
             cooldown: 1,
-            history: 4,
-            delta_history: 64,
         }
     }
 }
@@ -342,7 +341,6 @@ impl OnlineAdvisor {
     /// re-anchored against `clock`, so ClockTime windows keep their
     /// configured span across a restart rather than restarting it.
     pub fn restore(config: OnlineAdvisorConfig, clock: SessionClock, s: AdvisorSnapshot) -> Self {
-        let mask = config.mask;
         let clock_anchor = s
             .window_elapsed_clock_ms
             .map(|elapsed| (clock.now_ms(), i128::from(elapsed)));
@@ -350,7 +348,7 @@ impl OnlineAdvisor {
             prev_vector: s
                 .prev
                 .as_ref()
-                .map(|w| WindowVector::from_workload(w, mask)),
+                .map(|w| WindowVector::from_workload(w, ClauseMask::SWGO)),
             open: OpenWindow::restored(s.current),
             window_start_ts: s.window_start_ts,
             clock_anchor,
@@ -486,7 +484,7 @@ impl OnlineAdvisor {
         let closed = self.open.take();
         // Counts are integer sums, so the sealed vector does not depend on
         // how the window's arrivals were grouped.
-        let vector = WindowVector::from_workload(&closed, self.config.mask);
+        let vector = WindowVector::from_workload(&closed, ClauseMask::SWGO);
         let index = self.window_index;
         self.window_index += 1;
 
@@ -515,7 +513,7 @@ impl OnlineAdvisor {
                 self.cooldown_left -= 1;
             }
             self.past_deltas.push_back(d);
-            while self.past_deltas.len() > self.config.delta_history.max(1) {
+            while self.past_deltas.len() > DELTA_HISTORY {
                 self.past_deltas.pop_front();
             }
         }
@@ -574,7 +572,7 @@ impl OnlineAdvisor {
         // redesign pool.
         if let Some(prev) = self.prev.take() {
             self.history.push_back(prev);
-            while self.history.len() > self.config.history.max(1) {
+            while self.history.len() > HISTORY_WINDOWS {
                 self.history.pop_front();
             }
         }
@@ -905,9 +903,7 @@ mod tests {
         let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
         let mut r = SimpleResolver::new();
         r.add_table("t", &col_refs);
-        let mut cfg = config(2);
-        cfg.history = 2;
-        let mut adv = OnlineAdvisor::new(cfg, SessionClock::virtual_clock());
+        let mut adv = OnlineAdvisor::new(config(2), SessionClock::virtual_clock());
         let mut stream = LogStream::new();
         for i in 0..32u64 {
             let line = format!("{i}\tSELECT c{i} FROM t\n");
@@ -1063,7 +1059,7 @@ mod tests {
                 proptest::prop_assert_eq!(audits.len(), 1);
                 let want = std::mem::take(&mut reference);
                 arrivals = 0;
-                let vector = WindowVector::from_workload(&want, cfg.mask);
+                let vector = WindowVector::from_workload(&want, ClauseMask::SWGO);
                 let delta = prev_vector.as_ref().map(|p| window_delta(p, &vector, N));
                 proptest::prop_assert_eq!(audits[0].arrivals, window as u64);
                 proptest::prop_assert_eq!(audits[0].distinct, vector.support().len() as u64);

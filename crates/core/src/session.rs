@@ -39,7 +39,6 @@ use cliffguard_sim::{CostKernel, Engine, PhysicalDesign, PlanningEngine};
 use cliffguard_telemetry::{self as telemetry, Level};
 use cliffguard_workload::{InternedWorkload, Query, Workload};
 use serde::{Deserialize, Error as SerdeError, Serialize, Version};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,22 +75,9 @@ pub struct SessionOptions {
     pub clock: SessionClock,
     /// Abort (as if killed) before running this 0-based iteration,
     /// returning [`SessionEnd::Interrupted`] with the checkpoint an
-    /// uninterrupted run would have had at that point. Test hook for
-    /// kill/resume coverage.
+    /// uninterrupted run would have had at that point. The kill hook
+    /// behind the kill/resume tests; the only way to interrupt a session.
     pub abort_after_iterations: Option<usize>,
-    /// Externally-driven kill switch. When the flag is raised the session
-    /// stops at the next iteration boundary and returns
-    /// [`SessionEnd::Interrupted`] with a resumable checkpoint — this is
-    /// how a serving daemon turns SIGTERM into "persist and exit" instead
-    /// of losing in-flight descents. `None` (the default) never stops.
-    pub stop: Option<Arc<AtomicBool>>,
-    /// Invoke the per-iteration checkpoint observer only every k-th
-    /// completed iteration (`1` = every iteration, the default). A daemon
-    /// that persists every checkpoint to disk uses this to trade recovery
-    /// granularity against write amplification; resuming from a stale
-    /// checkpoint replays the skipped iterations exactly, so the final
-    /// design is bit-identical either way.
-    pub checkpoint_every: usize,
 }
 
 impl Default for SessionOptions {
@@ -100,18 +86,7 @@ impl Default for SessionOptions {
             retry: RetryPolicy::default(),
             clock: SessionClock::virtual_clock(),
             abort_after_iterations: None,
-            stop: None,
-            checkpoint_every: 1,
         }
-    }
-}
-
-impl SessionOptions {
-    /// Whether the external kill switch has been raised.
-    fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
     }
 }
 
@@ -680,12 +655,7 @@ where
         }
         for iter in st.next_iter..cfg.max_iters {
             st.next_iter = iter;
-            let abort = self
-                .options
-                .abort_after_iterations
-                .is_some_and(|k| iter >= k)
-                || self.options.stop_requested();
-            if abort {
+            if matches!(self.options.abort_after_iterations, Some(k) if iter >= k) {
                 return SessionEnd::Interrupted(Box::new(self.snapshot(
                     &st,
                     &trace,
@@ -816,9 +786,7 @@ where
             }
             trace.worst_case_per_iter.push(st.current_worst);
             st.next_iter = iter + 1;
-            if st.next_iter % self.options.checkpoint_every.max(1) == 0 {
-                observer(&self.snapshot(&st, &trace, fingerprint, rng_words));
-            }
+            observer(&self.snapshot(&st, &trace, fingerprint, rng_words));
             if st.stale >= cfg.patience {
                 break; // Line 17: many iterations with no improvement.
             }
@@ -1340,90 +1308,33 @@ mod tests {
     }
 
     #[test]
-    fn stop_switch_interrupts_and_resume_completes_identically() {
+    fn every_observed_checkpoint_resumes_bit_identically() {
         let e = ColumnarEngine::new(catalog());
         let nominal = GreedyDesigner::new(&e, ColumnarCandidates, "DBD");
         let metric = DeltaEuclidean::new(12);
         let cfg = CliffGuardConfig::new(0.005);
-        let (d_full, t_full) = DesignSession::new(
+        let session = DesignSession::new(
             &e,
             Reliable(&nominal),
             metric,
-            cfg.clone(),
+            cfg,
             SessionOptions::default(),
         )
-        .expect("valid config")
-        .run(&w0(), BUDGET, &pool())
-        .into_design();
-
-        // Switch raised before the descent starts: the session checkpoints
-        // at iteration 0 instead of running — the daemon-kill path.
-        let stop = Arc::new(AtomicBool::new(true));
-        let killed = DesignSession::new(
-            &e,
-            Reliable(&nominal),
-            metric,
-            cfg.clone(),
-            SessionOptions {
-                stop: Some(Arc::clone(&stop)),
-                ..SessionOptions::default()
-            },
-        )
         .expect("valid config");
-        let SessionEnd::Interrupted(ckpt) = killed.run(&w0(), BUDGET, &pool()) else {
-            panic!("raised stop switch must interrupt the session")
-        };
-        assert_eq!(ckpt.next_iter, 0);
-
-        stop.store(false, Ordering::Relaxed);
-        let (d_res, t_res) = killed
-            .resume(&w0(), BUDGET, &pool(), &ckpt)
-            .expect("checkpoint accepted")
+        let mut seen: Vec<DescentCheckpoint<ColumnarDesign>> = Vec::new();
+        let (d_full, t_full) = session
+            .run_with_observer(&w0(), BUDGET, &pool(), &mut |c| seen.push(c.clone()))
             .into_design();
-        assert_eq!(d_res, d_full, "resume after a stop must be bit-identical");
-        assert_eq!(t_res.worst_case_per_iter, t_full.worst_case_per_iter);
-    }
-
-    #[test]
-    fn sparse_checkpoint_cadence_still_resumes_bit_identically() {
-        let e = ColumnarEngine::new(catalog());
-        let nominal = GreedyDesigner::new(&e, ColumnarCandidates, "DBD");
-        let metric = DeltaEuclidean::new(12);
-        let cfg = CliffGuardConfig::new(0.005);
-        let mk = |every: usize| {
-            DesignSession::new(
-                &e,
-                Reliable(&nominal),
-                metric,
-                cfg.clone(),
-                SessionOptions {
-                    checkpoint_every: every,
-                    ..SessionOptions::default()
-                },
-            )
-            .expect("valid config")
-        };
-        let mut dense: Vec<DescentCheckpoint<ColumnarDesign>> = Vec::new();
-        let (d_full, _) = mk(1)
-            .run_with_observer(&w0(), BUDGET, &pool(), &mut |c| dense.push(c.clone()))
-            .into_design();
-        let mut sparse: Vec<DescentCheckpoint<ColumnarDesign>> = Vec::new();
-        let (d_sparse, _) = mk(2)
-            .run_with_observer(&w0(), BUDGET, &pool(), &mut |c| sparse.push(c.clone()))
-            .into_design();
-        assert_eq!(d_full, d_sparse, "cadence must not change the descent");
-        assert!(
-            sparse.len() < dense.len(),
-            "cadence 2 must skip checkpoints"
-        );
-        // Resuming from the *stale* (every-2nd) checkpoints replays the
-        // skipped iterations exactly.
-        for c in &sparse {
-            let (d_res, _) = mk(1)
+        // One checkpoint per completed iteration, in order.
+        assert_eq!(seen.len(), t_full.worst_case_per_iter.len() - 1);
+        for (i, c) in seen.iter().enumerate() {
+            assert_eq!(c.next_iter, i + 1);
+            let (d_res, t_res) = session
                 .resume(&w0(), BUDGET, &pool(), c)
                 .expect("checkpoint accepted")
                 .into_design();
             assert_eq!(d_res, d_full, "resume from iter {}", c.next_iter);
+            assert_eq!(t_res.worst_case_per_iter, t_full.worst_case_per_iter);
         }
     }
 }

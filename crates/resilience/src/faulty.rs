@@ -7,49 +7,9 @@ use cliffguard_sim::Engine;
 use cliffguard_workload::Workload;
 use std::sync::Mutex;
 
-/// Injected-fault counters, by kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// All faults injected.
-    pub total: u64,
-    /// Outright failures.
-    pub fail: u64,
-    /// Stalls (virtual latency).
-    pub stall: u64,
-    /// Over-budget designs returned.
-    pub over_budget: u64,
-    /// Empty designs returned.
-    pub empty: u64,
-    /// Stale designs returned.
-    pub stale: u64,
-    /// Replica crashes injected (consumed by the replica layer).
-    pub replica_crash: u64,
-    /// Replica slowdowns injected (consumed by the replica layer).
-    pub replica_slow: u64,
-    /// Panics injected (the worker-crash failure mode).
-    pub panic: u64,
-}
-
-impl FaultCounts {
-    fn record(&mut self, kind: FaultKind) {
-        self.total += 1;
-        match kind {
-            FaultKind::Fail => self.fail += 1,
-            FaultKind::Stall(_) => self.stall += 1,
-            FaultKind::OverBudget => self.over_budget += 1,
-            FaultKind::Empty => self.empty += 1,
-            FaultKind::Stale => self.stale += 1,
-            FaultKind::ReplicaCrash(_) => self.replica_crash += 1,
-            FaultKind::ReplicaSlow(_) => self.replica_slow += 1,
-            FaultKind::Panic => self.panic += 1,
-        }
-    }
-}
-
 struct FaultyState<D> {
     calls: u64,
     last_ok: Option<D>,
-    injected: FaultCounts,
 }
 
 /// A [`FallibleDesigner`] that sabotages an inner [`NominalDesigner`]
@@ -78,19 +38,8 @@ impl<E: Engine, D> FaultyDesigner<E, D> {
             state: Mutex::new(FaultyState {
                 calls: 0,
                 last_ok: None,
-                injected: FaultCounts::default(),
             }),
         }
-    }
-
-    /// Calls attempted so far.
-    pub fn calls(&self) -> u64 {
-        self.lock().calls
-    }
-
-    /// Faults injected so far, by kind.
-    pub fn injected(&self) -> FaultCounts {
-        self.lock().injected
     }
 
     /// Advances the call counter without invoking the designer, as if
@@ -107,7 +56,7 @@ impl<E: Engine, D> FaultyDesigner<E, D> {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, FaultyState<E::Design>> {
         // A poisoned mutex means a *panicking* inner designer — the state
-        // (counters + cache) is still coherent, so keep going rather than
+        // (call counter + cache) is still coherent, so keep going rather than
         // propagate the panic into every later session.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -128,56 +77,40 @@ where
                 st.last_ok = Some(d.clone());
                 Ok(d)
             }
-            Some(kind @ FaultKind::Fail) => {
-                st.injected.record(kind);
-                Err(DesignerFault::Unavailable(format!(
-                    "injected outage (call {call})"
-                )))
-            }
-            Some(kind @ FaultKind::Stall(ms)) => {
-                st.injected.record(kind);
+            Some(FaultKind::Fail) => Err(DesignerFault::Unavailable(format!(
+                "injected outage (call {call})"
+            ))),
+            Some(FaultKind::Stall(ms)) => {
                 self.clock.advance_ms(ms);
                 let d = self.inner.design(w, budget_bytes);
                 st.last_ok = Some(d.clone());
                 Ok(d)
             }
-            Some(kind @ FaultKind::OverBudget) => {
-                st.injected.record(kind);
-                // Design as if the budget were 4x: with a candidate-rich
-                // workload this overruns the real budget and must be
-                // caught by the session's validation gate.
-                Ok(self.inner.design(w, budget_bytes.saturating_mul(4)))
-            }
-            Some(kind @ FaultKind::Empty) => {
-                st.injected.record(kind);
-                Ok(E::Design::default())
-            }
-            Some(kind @ FaultKind::Stale) => {
-                st.injected.record(kind);
-                match st.last_ok.clone() {
-                    Some(d) => Ok(d),
-                    None => Err(DesignerFault::Unavailable(format!(
-                        "injected stale response with no prior design (call {call})"
-                    ))),
-                }
-            }
+            // Design as if the budget were 4x: with a candidate-rich
+            // workload this overruns the real budget and must be caught by
+            // the session's validation gate.
+            Some(FaultKind::OverBudget) => Ok(self.inner.design(w, budget_bytes.saturating_mul(4))),
+            Some(FaultKind::Empty) => Ok(E::Design::default()),
+            Some(FaultKind::Stale) => match st.last_ok.clone() {
+                Some(d) => Ok(d),
+                None => Err(DesignerFault::Unavailable(format!(
+                    "injected stale response with no prior design (call {call})"
+                ))),
+            },
             // Replica faults target the *replicated-design layer*, not the
-            // designer: the designer itself keeps working. Count the
-            // injection and answer cleanly; the replica layer reads the
-            // same plan by call index and applies the crash/slowdown.
-            Some(kind @ (FaultKind::ReplicaCrash(_) | FaultKind::ReplicaSlow(_))) => {
-                st.injected.record(kind);
+            // designer: the designer itself keeps working and answers
+            // cleanly; the replica layer reads the same plan by call index
+            // and applies the crash/slowdown.
+            Some(FaultKind::ReplicaCrash(_) | FaultKind::ReplicaSlow(_)) => {
                 let d = self.inner.design(w, budget_bytes);
                 st.last_ok = Some(d.clone());
                 Ok(d)
             }
             // The worker-crash failure mode: the call unwinds instead of
-            // returning. The counter is recorded (and the lock released)
-            // first, so a catcher that inspects the wrapper afterwards
-            // sees a coherent state. The fixed message keeps panic dumps
-            // byte-deterministic.
-            Some(kind @ FaultKind::Panic) => {
-                st.injected.record(kind);
+            // returning. The lock is released first, so a catcher that
+            // inspects the wrapper afterwards sees a coherent state. The
+            // fixed message keeps panic dumps byte-deterministic.
+            Some(FaultKind::Panic) => {
                 drop(st);
                 panic!("injected panic (call {call})");
             }
@@ -311,13 +244,6 @@ mod tests {
         // Clean call afterwards.
         let ok = fd.try_design(&w, 200).unwrap();
         assert_eq!(ok.0.len(), 2);
-        let counts = fd.injected();
-        assert_eq!(counts.total, 4);
-        assert_eq!(counts.fail, 1);
-        assert_eq!(counts.empty, 1);
-        assert_eq!(counts.stall, 1);
-        assert_eq!(counts.over_budget, 1);
-        assert_eq!(fd.calls(), 5);
     }
 
     #[test]
@@ -337,7 +263,6 @@ mod tests {
             Workload::from_queries([(QueryBuilder::new(TableId(0)).select(&[7]).build(), 1.0)]);
         let stale = fd.try_design(&other, 300).unwrap();
         assert_eq!(stale, fresh);
-        assert_eq!(fd.injected().stale, 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod retry;
 pub use clock::SessionClock;
 pub use degrade::DegradedReason;
 pub use fault::{FaultKind, FaultPlan, FaultSpecError};
-pub use faulty::{session_designer, FaultCounts, FaultyDesigner};
+pub use faulty::{session_designer, FaultyDesigner};
 pub use retry::RetryPolicy;
 
 /// The environment variable holding a [`FaultPlan`] spec.

@@ -1,20 +1,22 @@
 //! Retry, backoff, and deadline policy for designer invocations.
 
+/// Backoff before the first retry (ms).
+const BASE_BACKOFF_MS: u64 = 25;
+
+/// Backoff ceiling (ms).
+const MAX_BACKOFF_MS: u64 = 1_000;
+
 /// How the session runtime treats a failing designer call.
 ///
 /// Backoff is capped exponential: attempt `k` (0-based) waits
-/// `min(base_backoff_ms << k, max_backoff_ms)` before retrying. All
-/// waits and deadlines run on the session's [`SessionClock`]
-/// (`crate::SessionClock`), so under a virtual clock the policy is exact
-/// and free.
+/// `min(BASE_BACKOFF_MS << k, MAX_BACKOFF_MS)` (25 ms doubling up to
+/// 1 s) before retrying. All waits and deadlines run on the session's
+/// [`SessionClock`] (`crate::SessionClock`), so under a virtual clock the
+/// policy is exact and free.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first failed one (0 = never retry).
     pub max_retries: u32,
-    /// Backoff before the first retry (ms).
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling (ms).
-    pub max_backoff_ms: u64,
     /// Per-call deadline: a call slower than this counts as a fault
     /// (`DesignerFault::TimedOut`) even if it eventually returned.
     pub designer_deadline_ms: Option<u64>,
@@ -27,8 +29,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_retries: 3,
-            base_backoff_ms: 25,
-            max_backoff_ms: 1_000,
             designer_deadline_ms: None,
             session_deadline_ms: None,
         }
@@ -51,9 +51,7 @@ impl RetryPolicy {
     /// Backoff before retry number `attempt` (0-based), in ms.
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
         let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.base_backoff_ms
-            .saturating_mul(factor)
-            .min(self.max_backoff_ms)
+        BASE_BACKOFF_MS.saturating_mul(factor).min(MAX_BACKOFF_MS)
     }
 }
 
@@ -63,17 +61,13 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            base_backoff_ms: 25,
-            max_backoff_ms: 150,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.backoff_ms(0), 25);
-        assert_eq!(p.backoff_ms(1), 50);
-        assert_eq!(p.backoff_ms(2), 100);
-        assert_eq!(p.backoff_ms(3), 150); // capped
-        assert_eq!(p.backoff_ms(63), 150);
-        assert_eq!(p.backoff_ms(64), 150); // shift overflow saturates
+        let p = RetryPolicy::default();
+        assert_eq!(p.backoff_ms(0), BASE_BACKOFF_MS);
+        assert_eq!(p.backoff_ms(1), 2 * BASE_BACKOFF_MS);
+        assert_eq!(p.backoff_ms(2), 4 * BASE_BACKOFF_MS);
+        assert_eq!(p.backoff_ms(5), 32 * BASE_BACKOFF_MS);
+        assert_eq!(p.backoff_ms(6), MAX_BACKOFF_MS); // capped
+        assert_eq!(p.backoff_ms(63), MAX_BACKOFF_MS);
+        assert_eq!(p.backoff_ms(64), MAX_BACKOFF_MS); // shift overflow saturates
     }
 }

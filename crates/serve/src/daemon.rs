@@ -68,7 +68,6 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Daemon configuration (the `cliffguard serve` flags).
@@ -84,8 +83,6 @@ pub struct ServeConfig {
     pub max_queue: usize,
     /// Default per-session deadline (ms) for requests that carry none.
     pub tenant_deadline_ms: Option<u64>,
-    /// Persist every k-th checkpoint (1 = every iteration).
-    pub checkpoint_every: usize,
     /// Run sessions on fresh virtual clocks (deterministic output).
     pub virtual_time: bool,
     /// Fault-plan spec applied to requests that carry none (the daemon's
@@ -96,9 +93,6 @@ pub struct ServeConfig {
     /// their checkpoint and emit **no** response; a restart on the same
     /// state directory completes them.
     pub kill_after_iterations: Option<usize>,
-    /// External kill switch shared with a signal handler: raised →
-    /// sessions checkpoint and the daemon stops admitting.
-    pub stop: Option<Arc<AtomicBool>>,
 }
 
 impl Default for ServeConfig {
@@ -109,11 +103,9 @@ impl Default for ServeConfig {
             max_concurrent: threads,
             max_queue: threads * 4,
             tenant_deadline_ms: None,
-            checkpoint_every: 1,
             virtual_time: false,
             default_faults: None,
             kill_after_iterations: None,
-            stop: None,
         }
     }
 }
@@ -339,8 +331,6 @@ impl Daemon {
         });
         let mut opts = RunnerOptions {
             tenant_deadline_ms: self.config.tenant_deadline_ms,
-            checkpoint_every: self.config.checkpoint_every,
-            stop: self.config.stop.clone(),
             abort_after_iterations: self.config.kill_after_iterations,
             recorder: Some(recorder.clone()),
             ..RunnerOptions::default()
@@ -414,7 +404,7 @@ impl Daemon {
                     (DesignStatus::Rejected, Some(reason), None, Some(lines))
                 }
                 Ok((RunOutcome::Interrupted(ckpt), lines)) => {
-                    // The session checkpointed under a stop/kill: persist
+                    // The session checkpointed under the kill hook: persist
                     // the final checkpoint and leave it pending — the
                     // restarted daemon owes the tenant this response.
                     if let Some(store) = &self.store {

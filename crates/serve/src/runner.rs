@@ -16,6 +16,7 @@
 
 use crate::protocol::{DesignReport, DesignRequest, GammaSpec};
 use cliffguard_core::gamma::{consecutive_deltas, GammaPolicy};
+use cliffguard_core::online::HISTORY_WINDOWS;
 use cliffguard_core::replica::MAX_REPLICAS;
 use cliffguard_core::{
     design_replicated, CliffGuardConfig, CliffGuardTrace, DescentCheckpoint, DesignSession,
@@ -29,7 +30,6 @@ use cliffguard_storage::Catalog;
 use cliffguard_workload::logio::{import_log, ImportReport};
 use cliffguard_workload::{query_pool, Workload};
 use serde::Deserialize;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// The caller's knobs for one run: the daemon's, or the CLI's clock.
@@ -41,10 +41,6 @@ pub struct RunnerOptions {
     pub clock: SessionClock,
     /// Default per-session deadline (ms), when the request carries none.
     pub tenant_deadline_ms: Option<u64>,
-    /// Checkpoint-observer cadence (0/1 = every iteration).
-    pub checkpoint_every: usize,
-    /// Daemon-wide kill switch: raised → sessions checkpoint and stop.
-    pub stop: Option<Arc<AtomicBool>>,
     /// Abort each session before this 0-based iteration (the harness's
     /// kill simulation; `None` in production).
     pub abort_after_iterations: Option<usize>,
@@ -60,7 +56,8 @@ pub struct RunnerOptions {
 pub enum RunOutcome {
     /// The session finished (possibly degraded — see its trace).
     Done(Box<DesignRun>),
-    /// The session was interrupted (daemon stopping); the checkpoint JSON
+    /// The session was interrupted by the kill hook
+    /// ([`RunnerOptions::abort_after_iterations`]); the checkpoint JSON
     /// resumes it bit-identically.
     Interrupted(String),
     /// The request's inputs were unusable; nothing ran.
@@ -219,9 +216,8 @@ impl DesignRun {
 }
 
 /// Runs (or, given `checkpoint_json`, resumes) the design session for one
-/// request, then its fleet step. `observer` receives each per-iteration
-/// checkpoint rendered as JSON, at the configured cadence — the daemon
-/// persists these.
+/// request, then its fleet step. `observer` receives the checkpoint after
+/// every completed iteration, rendered as JSON — the daemon persists these.
 ///
 /// A checkpoint that does not match the request's inputs (fingerprint or
 /// sampler drift) is discarded and the session runs fresh: the fresh run
@@ -246,8 +242,8 @@ pub fn run_design(
         GammaSpec::Fixed(g) => g,
         GammaSpec::Auto => GammaPolicy::AUTO.resolve(&consecutive_deltas(&metric, &inputs.windows)),
     };
-    // The last four history windows, newest first.
-    let pool = query_pool(history.iter().rev().take(4));
+    // The history windows just before W0, newest first.
+    let pool = query_pool(history.iter().rev().take(HISTORY_WINDOWS));
 
     let mut retry = RetryPolicy::default();
     if let Some(n) = req.max_retries {
@@ -271,8 +267,6 @@ pub fn run_design(
     let options = SessionOptions {
         retry,
         clock: clock.clone(),
-        stop: opts.stop.clone(),
-        checkpoint_every: opts.checkpoint_every.max(1),
         abort_after_iterations: opts.abort_after_iterations,
     };
     let config = CliffGuardConfig::new(gamma).with_seed(req.seed);

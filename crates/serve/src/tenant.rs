@@ -23,8 +23,9 @@ pub struct TenantStats {
     pub rejected: u64,
     /// Sessions recovered from the state directory after a restart.
     pub resumed: u64,
-    /// Sessions interrupted by a daemon stop (checkpointed, not yet
-    /// completed).
+    /// Sessions interrupted by the kill hook
+    /// ([`ServeConfig::kill_after_iterations`](crate::ServeConfig::kill_after_iterations);
+    /// checkpointed, not yet completed).
     pub interrupted: u64,
     /// Flight-recorder dumps captured for this tenant (one per degraded
     /// or panicked session).

@@ -199,11 +199,6 @@ impl ColumnarEngine {
         }
     }
 
-    /// Creates the engine with explicit cost constants.
-    pub fn with_cost(catalog: Catalog, cost: CostConstants) -> Self {
-        Self { catalog, cost }
-    }
-
     /// Splits a query's referenced columns and predicates by table, and
     /// builds each table's super-projection fallback.
     fn per_table(&self, q: &Query) -> Vec<PlannedTable> {

@@ -271,11 +271,6 @@ impl RowEngine {
         }
     }
 
-    /// Creates the engine with explicit cost constants.
-    pub fn with_cost(catalog: Catalog, cost: CostConstants) -> Self {
-        Self { catalog, cost }
-    }
-
     /// Matched selectivity of predicates against an index key prefix.
     fn prefix_selectivity(key: &[ColumnId], preds: &[Predicate]) -> f64 {
         let mut sel = 1.0;

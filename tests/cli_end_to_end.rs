@@ -16,6 +16,17 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
+/// The CLI with `CLIFFGUARD_FAULTS` set to `faults`, or removed on `None`,
+/// whatever this process inherited (CI runs the suite under fault plans).
+fn cli_with_faults(faults: Option<&str>) -> Command {
+    let mut cmd = Command::new(bin());
+    match faults {
+        Some(v) => cmd.env("CLIFFGUARD_FAULTS", v),
+        None => cmd.env_remove("CLIFFGUARD_FAULTS"),
+    };
+    cmd
+}
+
 /// Generates a four-window R1 log (seed 7) and its catalog into `dir`,
 /// returning their paths as `(catalog, log)`.
 fn generate(dir: &Path) -> (String, String) {
@@ -305,6 +316,123 @@ fn serve_daemon_round_trips_over_stdin() {
     // the `metrics` verb reports real counters.
     assert!(lines[1].contains("cliffguard.serve"), "{}", lines[1]);
     assert!(lines[2].contains(r#""op":"shutdown""#), "{}", lines[2]);
+}
+
+#[test]
+fn a_blank_fault_variable_leaves_the_daemon_without_a_plan() {
+    use cliffguard::serve::{harness::design_line, testdata};
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let tape = format!(
+        "{}\n{{\"op\":\"shutdown\"}}\n",
+        design_line(&testdata::design_request("t0", 7))
+    );
+    // Serves the tape with CLIFFGUARD_FAULTS set to `faults` (unset on
+    // `None`) and returns the replies and the admitted request envelope.
+    let serve = |name: &str, faults: Option<&str>| {
+        let dir = tmpdir(name);
+        let state = dir.join("state");
+        let mut child = cli_with_faults(faults)
+            .args(["serve", "--virtual-clock", "--state-dir"])
+            .arg(&state)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(tape.as_bytes()).unwrap();
+        drop(stdin);
+        let out = child.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let request = state.join("tenants/t0/1/request.json");
+        let envelope: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(request).unwrap()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (String::from_utf8(out.stdout).unwrap(), envelope)
+    };
+    let (blank, envelope) = serve("blank-faults", Some("  "));
+    let keys: Vec<&str> = envelope
+        .as_map()
+        .expect("the envelope is a JSON object")
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert!(keys.contains(&"catalog"), "{keys:?}");
+    assert!(
+        !keys.contains(&"faults"),
+        "a blank variable named a plan: {keys:?}"
+    );
+    let (unset, _) = serve("unset-faults", None);
+    assert!(blank.contains(r#""status":"done""#), "{blank}");
+    assert_eq!(blank, unset);
+}
+
+#[test]
+fn trace_report_matches_the_committed_golden() {
+    let dir = tmpdir("trace-report");
+    let run = |args: &[&str], faults: Option<&str>| {
+        let out = cli_with_faults(faults)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    // CI's `trace-report` recipe, step for step.
+    run(
+        &[
+            "generate",
+            "--profile",
+            "R1",
+            "--seed",
+            "7",
+            "--out",
+            "log.tsv",
+            "--catalog-out",
+            "catalog.json",
+        ],
+        None,
+    );
+    run(
+        &[
+            "design",
+            "--catalog",
+            "catalog.json",
+            "--log",
+            "log.tsv",
+            "--gamma",
+            "auto",
+            "--virtual-clock",
+            "--log-level",
+            "debug",
+            "--trace-out",
+            "trace.jsonl",
+        ],
+        Some("seed=1,rate=0.3"),
+    );
+    let report = run(&["trace", "report", "trace.jsonl", "--json"], None);
+    let golden = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../schemas/trace_report.golden.json"
+    ))
+    .unwrap();
+    assert!(
+        report == golden,
+        "the trace report moved from schemas/trace_report.golden.json:\n{}",
+        String::from_utf8_lossy(&report)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
