@@ -19,7 +19,148 @@ use crate::traits::CandidateGen;
 use cliffguard_sim::Engine as _;
 use cliffguard_sim::{ColumnarEngine, Index, MatView, Projection, RowEngine, RowStructure};
 use cliffguard_workload::{ColumnId, ColumnSet, PredOp, Query, TableId, Workload};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
+
+/// The hash state of the designer's maps: the candidate lists' dedup and
+/// the what-if cache's keys.
+///
+/// SipHash over a projection's table, column words and sort order cost
+/// more than the dedup it served; [`FoldHasher`] folds each 64-bit word
+/// with one keyed 64×64→128-bit multiply instead. The key is drawn from
+/// [`RandomState`] once per process, as `SignatureState`'s is: candidates
+/// derive from queries that the daemon's tenants supply. No code iterates
+/// these maps, so no output depends on the key.
+#[derive(Clone, Copy)]
+pub(crate) struct FoldState {
+    key: u64,
+}
+
+impl Default for FoldState {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        Self {
+            key: *KEY.get_or_init(|| RandomState::new().hash_one(1u8)),
+        }
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { hash: self.key }
+    }
+}
+
+/// The hasher [`FoldState`] builds.
+pub(crate) struct FoldHasher {
+    hash: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(self.hash ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Values in first-seen order, each kept once, and each value's index in
+/// that order. The candidate lists use it to drop repeats without cloning
+/// a structure; the what-if cache uses the index as a candidate's id.
+pub(crate) struct FirstSeen<T> {
+    items: Vec<T>,
+    /// An item's hash → the index of the first item with that hash.
+    first: HashMap<u64, u32, FoldState>,
+    state: FoldState,
+}
+
+impl<T> Default for FirstSeen<T> {
+    fn default() -> Self {
+        Self {
+            items: Vec::new(),
+            first: HashMap::default(),
+            state: FoldState::default(),
+        }
+    }
+}
+
+impl<T: Hash + Eq> FirstSeen<T> {
+    /// The index of the item equal to `item`, whose hash is `hash`.
+    fn find(&self, item: &T, hash: u64) -> Option<usize> {
+        let i = *self.first.get(&hash)? as usize;
+        if self.items[i] == *item {
+            return Some(i);
+        }
+        // Two distinct items share a 64-bit hash: look at them all.
+        self.items.iter().position(|x| x == item)
+    }
+
+    fn push(&mut self, item: T, hash: u64) -> usize {
+        let i = self.items.len();
+        let id = u32::try_from(i).expect("more than u32::MAX distinct items");
+        self.first.entry(hash).or_insert(id);
+        self.items.push(item);
+        i
+    }
+
+    /// Appends `item` unless an equal item is already kept; returns
+    /// whether it was appended.
+    pub(crate) fn insert(&mut self, item: T) -> bool {
+        let hash = self.state.hash_one(&item);
+        if self.find(&item, hash).is_some() {
+            return false;
+        }
+        self.push(item, hash);
+        true
+    }
+
+    /// The index of the kept item equal to `item`, appending a clone of it
+    /// first if there is none.
+    pub(crate) fn intern(&mut self, item: &T) -> usize
+    where
+        T: Clone,
+    {
+        let hash = self.state.hash_one(item);
+        match self.find(item, hash) {
+            Some(i) => i,
+            None => self.push(item.clone(), hash),
+        }
+    }
+
+    /// The kept items, in first-seen order.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        self.items
+    }
+}
 
 /// Orders a query's predicate columns for a sort key / index key: equality
 /// predicates by ascending selectivity, then the single most selective
@@ -82,13 +223,13 @@ impl ColumnarCandidates {
 
 impl CandidateGen<ColumnarEngine> for ColumnarCandidates {
     fn candidates(&self, engine: &ColumnarEngine, w: &Workload) -> Vec<Projection> {
-        let mut out: Vec<Projection> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        // Per-table merged column sets (weighted by query frequency for the
-        // merged candidate's sort order choice), in first-seen table order
+        let mut out = FirstSeen::default();
+        // Per-table merged column sets, with each sort column's votes
+        // (weighted by query frequency, for the merged candidate's sort
+        // order) in first-voted order, and the tables in first-seen order,
         // so the candidate list never follows hash-map iteration order.
-        let mut merged: Vec<(TableId, ColumnSet, HashMap<ColumnId, f64>)> = Vec::new();
-        let mut slot: HashMap<TableId, usize> = HashMap::new();
+        let mut merged = Vec::new();
+        let mut slot: Vec<Option<u32>> = Vec::new();
 
         for (q, wt) in w.iter() {
             let mut tables = vec![q.anchor];
@@ -97,26 +238,31 @@ impl CandidateGen<ColumnarEngine> for ColumnarCandidates {
                 let Some(p) = Self::tailored(engine, q, t) else {
                     continue;
                 };
-                let i = *slot.entry(t).or_insert_with(|| {
-                    merged.push((t, ColumnSet::default(), HashMap::new()));
-                    merged.len() - 1
+                let t_index = t.0 as usize;
+                if slot.len() <= t_index {
+                    slot.resize(t_index + 1, None);
+                }
+                let i = *slot[t_index].get_or_insert_with(|| {
+                    merged.push((t, ColumnSet::default(), Vec::new()));
+                    (merged.len() - 1) as u32
                 });
-                let (_, cols, votes) = &mut merged[i];
+                let (_, cols, votes) = &mut merged[i as usize];
                 cols.union_with(&p.columns);
                 for (rank, &c) in p.sort_order.iter().enumerate() {
-                    *votes.entry(c).or_insert(0.0) += wt / (rank + 1) as f64;
+                    let vote = wt / (rank + 1) as f64;
+                    match votes.iter_mut().find(|(v, _)| *v == c) {
+                        Some((_, sum)) => *sum += vote,
+                        None => votes.push((c, vote)),
+                    }
                 }
-                if seen.insert((p.table, p.columns.clone(), p.sort_order.clone())) {
-                    out.push(p);
-                }
+                out.insert(p);
             }
         }
         // Merged per-table candidates: all referenced columns, with one
         // variant per highly-voted lead sort column (Vertica's DBD likewise
         // proposes a few differently-sorted table-wide projections — the
         // generalizing backbone that also serves queries it never saw).
-        for (t, cols, votes) in merged {
-            let mut ranked: Vec<(ColumnId, f64)> = votes.into_iter().collect();
+        for (t, cols, mut ranked) in merged {
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             let top: Vec<ColumnId> = ranked
                 .into_iter()
@@ -127,13 +273,10 @@ impl CandidateGen<ColumnarEngine> for ColumnarCandidates {
             for lead in 0..top.len() {
                 let mut sort = vec![top[lead]];
                 sort.extend(top.iter().copied().filter(|c| *c != top[lead]).take(2));
-                let p = Projection::new(t, cols.clone(), sort);
-                if seen.insert((p.table, p.columns.clone(), p.sort_order.clone())) {
-                    out.push(p);
-                }
+                out.insert(Projection::new(t, cols.clone(), sort));
             }
         }
-        out
+        out.into_vec()
     }
 }
 
@@ -191,27 +334,21 @@ impl RowCandidates {
 
 impl CandidateGen<RowEngine> for RowCandidates {
     fn candidates(&self, engine: &RowEngine, w: &Workload) -> Vec<RowStructure> {
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut out = FirstSeen::default();
         for (q, _) in w.iter() {
             for s in Self::tailored(engine, q) {
-                if seen.insert(s.clone()) {
-                    out.push(s);
-                }
+                out.insert(s);
             }
             // Join-side single-column indexes on joined tables' predicates.
             let catalog = engine.catalog();
             for &t in &q.joins {
                 let key = predicate_key_order(q, |c| catalog.table_of(c), t);
                 if !key.is_empty() {
-                    let s = RowStructure::Index(Index::new(t, key));
-                    if seen.insert(s.clone()) {
-                        out.push(s);
-                    }
+                    out.insert(RowStructure::Index(Index::new(t, key)));
                 }
             }
         }
-        out
+        out.into_vec()
     }
 }
 

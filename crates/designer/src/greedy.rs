@@ -7,16 +7,29 @@
 //! budget is exhausted or nothing helps. This is deliberately a *nominal*
 //! designer: it optimizes exactly the workload it is given, overfitting and
 //! all — which is precisely the brittleness CliffGuard exists to fix.
+//!
+//! A designer remembers what it has costed (the *what-if cache*): each
+//! query's compiled plan, table mask and base latency, and each
+//! candidate's price and the cells it has been checked against. CliffGuard
+//! calls the designer on one moved workload after another, drawn from the
+//! same few dozen queries, so later calls mostly read cells earlier calls
+//! computed. Every matrix is bit-identical to [`BenefitMatrix::build`].
 
+use crate::candidates::{FirstSeen, FoldState};
 use crate::traits::{CandidateGen, NominalDesigner};
 use cliffguard_sim::{PhysicalDesign, PlanningEngine};
-use cliffguard_workload::Workload;
+use cliffguard_workload::{Query, Workload};
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Minimum total-ms gain for a structure to be worth adding.
 const MIN_GAIN_MS: f64 = 1e-6;
+
+/// The most entries (queries, candidates and cells) a what-if cache keeps
+/// between calls; a cache past it is dropped when its call returns.
+const WHAT_IF_CAP: usize = 1 << 16;
 
 /// CELF heap entry: a (possibly stale) upper bound on one candidate's
 /// benefit-per-byte density, tagged with the selection round it was
@@ -340,20 +353,186 @@ impl<S: Clone> BenefitMatrix<S> {
     }
 }
 
+/// A query the what-if cache has compiled: its plan, table mask and
+/// latency under the empty design. Holding the `Arc` pins its address,
+/// the cache's key, so no other query can be allocated there.
+struct KnownQuery<P> {
+    _pin: Arc<Query>,
+    plan: P,
+    mask: u64,
+    base: f64,
+}
+
+/// One remembered (query, candidate) pair: whether the dependency
+/// predicate keeps it and, if so, the query's latency under
+/// `{candidate}`. A pair it rules out costs the base latency, and the
+/// matrix keeps no cell for it. (16 bytes, where an `Option<f64>` would
+/// take 24.)
+#[derive(Clone, Copy)]
+struct Cell {
+    query: u32,
+    depends: bool,
+    latency: f64,
+}
+
+/// A candidate the what-if cache has priced, with the cells it has been
+/// checked against in ascending query id. Pairs whose table masks miss
+/// store nothing: one AND rules them out again.
+struct KnownCandidate {
+    mask: u64,
+    price: u64,
+    cells: Vec<Cell>,
+}
+
+/// The what-if cache: one designer's memo of compiled queries and costed
+/// (query, candidate) cells.
+///
+/// Queries are keyed by their `Arc`'s address, never by
+/// `QuerySignature` (which rounds selectivities, so two queries with one
+/// signature can cost differently); candidates by structural equality.
+/// Both hold exactly what `BenefitMatrix::build` would compute for the
+/// same query and an equal structure, so reading them is exact.
+struct WhatIf<E: PlanningEngine> {
+    by_addr: HashMap<usize, u32, FoldState>,
+    queries: Vec<KnownQuery<E::Plan>>,
+    candidates: FirstSeen<<E::Design as PhysicalDesign>::Structure>,
+    known: Vec<KnownCandidate>,
+    cells: usize,
+}
+
+impl<E: PlanningEngine> Default for WhatIf<E> {
+    fn default() -> Self {
+        Self {
+            by_addr: HashMap::default(),
+            queries: Vec::new(),
+            candidates: FirstSeen::default(),
+            known: Vec::new(),
+            cells: 0,
+        }
+    }
+}
+
+impl<E: PlanningEngine> WhatIf<E> {
+    /// Entries held: queries, candidates and cells.
+    fn len(&self) -> usize {
+        self.queries.len() + self.known.len() + self.cells
+    }
+
+    /// The id of query `q`, compiling, masking and base-costing it on
+    /// first sight.
+    fn query_id(&mut self, engine: &E, q: &Arc<Query>) -> u32 {
+        let next = u32::try_from(self.queries.len()).expect("more than u32::MAX queries");
+        *self
+            .by_addr
+            .entry(Arc::as_ptr(q) as usize)
+            .or_insert_with(|| {
+                let plan = engine.compile_plan(q);
+                self.queries.push(KnownQuery {
+                    _pin: Arc::clone(q),
+                    mask: engine.plan_tables_mask(&plan),
+                    base: engine.plan_latency_ms(&plan, &E::Design::default()),
+                    plan,
+                });
+                next
+            })
+    }
+
+    /// [`BenefitMatrix::build`] for `w` and `candidates`, reading every
+    /// cell this cache already holds and remembering the rest.
+    fn matrix(
+        &mut self,
+        engine: &E,
+        w: &Workload,
+        candidates: Vec<<E::Design as PhysicalDesign>::Structure>,
+    ) -> BenefitMatrix<<E::Design as PhysicalDesign>::Structure> {
+        let weights: Vec<f64> = w.iter().map(|(_, wt)| wt).collect();
+        let ids: Vec<u32> = w.iter().map(|(q, _)| self.query_id(engine, q)).collect();
+        let known_queries = ids.iter().map(|&id| &self.queries[id as usize]);
+        let base: Vec<f64> = known_queries.clone().map(|kq| kq.base).collect();
+        let masks: Vec<u64> = known_queries.map(|kq| kq.mask).collect();
+        let n = u32::try_from(ids.len()).expect("more than u32::MAX queries");
+        let mut prices = Vec::with_capacity(candidates.len());
+        let mut rows = Vec::with_capacity(candidates.len() + 1);
+        rows.push(0);
+        let mut cells = Vec::new();
+        for c in &candidates {
+            let k = self.candidates.intern(c);
+            if k == self.known.len() {
+                self.known.push(KnownCandidate {
+                    mask: engine.structure_tables_mask(c),
+                    price: E::Design::structure_price(c, engine.catalog()),
+                    cells: Vec::new(),
+                });
+            }
+            let known = &mut self.known[k];
+            prices.push(known.price);
+            // `{c}`, built the first time this call costs a new cell.
+            let mut single = None;
+            for (q, (&id, &mask)) in (0..n).zip(ids.iter().zip(&masks)) {
+                if mask & known.mask == 0 {
+                    continue;
+                }
+                let cell = match known.cells.binary_search_by_key(&id, |cell| cell.query) {
+                    Ok(i) => known.cells[i],
+                    Err(i) => {
+                        let plan = &self.queries[id as usize].plan;
+                        let depends = engine.plan_depends_on(plan, c);
+                        let latency = if depends {
+                            let d = single
+                                .get_or_insert_with(|| E::Design::from_structures(vec![c.clone()]));
+                            engine.plan_latency_ms(plan, d)
+                        } else {
+                            0.0
+                        };
+                        let cell = Cell {
+                            query: id,
+                            depends,
+                            latency,
+                        };
+                        known.cells.insert(i, cell);
+                        self.cells += 1;
+                        cell
+                    }
+                };
+                if cell.depends {
+                    cells.push((q, cell.latency));
+                }
+            }
+            rows.push(cells.len());
+        }
+        BenefitMatrix::from_cells(candidates, prices, weights, base, rows, cells)
+    }
+}
+
 /// The greedy nominal designer: candidate generation + greedy selection.
-pub struct GreedyDesigner<'e, E, G> {
+///
+/// The designer owns its what-if caches. A call checks one out (or starts
+/// an empty one), costs without holding any lock, and puts it back, so
+/// threads designing through one `&GreedyDesigner` each work on their own
+/// cache; a cache that has grown past [`WHAT_IF_CAP`] entries is dropped
+/// instead of put back.
+pub struct GreedyDesigner<'e, E: PlanningEngine, G> {
     engine: &'e E,
     generator: G,
     label: String,
+    idle: Mutex<Vec<WhatIf<E>>>,
+    cap: usize,
 }
 
 impl<'e, E: PlanningEngine, G: CandidateGen<E>> GreedyDesigner<'e, E, G> {
     /// Creates the designer.
     pub fn new(engine: &'e E, generator: G, label: impl Into<String>) -> Self {
+        Self::with_cap(engine, generator, label, WHAT_IF_CAP)
+    }
+
+    /// [`new`](Self::new) with `cap` in place of [`WHAT_IF_CAP`].
+    fn with_cap(engine: &'e E, generator: G, label: impl Into<String>, cap: usize) -> Self {
         Self {
             engine,
             generator,
             label: label.into(),
+            idle: Mutex::new(Vec::new()),
+            cap,
         }
     }
 
@@ -363,10 +542,17 @@ impl<'e, E: PlanningEngine, G: CandidateGen<E>> GreedyDesigner<'e, E, G> {
     }
 
     /// Builds the benefit matrix for a workload (exposed for the baselines
-    /// that share it).
+    /// that share it): [`BenefitMatrix::build`] over the generator's
+    /// candidates, bit for bit, through the what-if cache.
     pub fn matrix(&self, w: &Workload) -> BenefitMatrix<<E::Design as PhysicalDesign>::Structure> {
         let candidates = self.generator.candidates(self.engine, w);
-        BenefitMatrix::build(self.engine, w, candidates)
+        let idle = || self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cache = idle().pop().unwrap_or_default();
+        let m = cache.matrix(self.engine, w, candidates);
+        if cache.len() <= self.cap {
+            idle().push(cache);
+        }
+        m
     }
 }
 
@@ -503,6 +689,63 @@ mod tests {
         let small = m.cost_of_set(&m.greedy_select(500_000_000));
         let large = m.cost_of_set(&m.greedy_select(5_000_000_000));
         assert!(large <= small + 1e-9);
+    }
+
+    /// Whether two matrices hold the same candidates, prices and cells,
+    /// and the same weights and base latencies bit for bit.
+    fn same_bits<S: PartialEq>(a: &BenefitMatrix<S>, b: &BenefitMatrix<S>) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cells = |m: &BenefitMatrix<S>| {
+            m.cells
+                .iter()
+                .map(|&(q, l)| (q, l.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        a.candidates == b.candidates
+            && a.prices == b.prices
+            && bits(&a.weights) == bits(&b.weights)
+            && bits(&a.base) == bits(&b.base)
+            && a.rows == b.rows
+            && cells(a) == cells(b)
+    }
+
+    #[test]
+    fn a_tiny_what_if_cap_changes_no_matrix_and_no_design() {
+        let e = ColumnarEngine::new(catalog());
+        let roomy = GreedyDesigner::new(&e, ColumnarCandidates, "DBD");
+        // Two entries: every call's cache outgrows it and is dropped.
+        let tiny = GreedyDesigner::with_cap(&e, ColumnarCandidates, "DBD", 2);
+        let queries: Vec<Arc<Query>> = workload().queries().cloned().collect();
+        let [a, b, c] = [0, 1, 2].map(|i| Arc::clone(&queries[i]));
+        // Shared, reweighted, reordered and dropped queries, and one equal
+        // query behind a new `Arc`.
+        let sequence: Vec<Vec<(Arc<Query>, f64)>> = vec![
+            vec![(a.clone(), 10.0), (b.clone(), 5.0), (c.clone(), 1.0)],
+            vec![(b.clone(), 50.0), (a.clone(), 1.0)],
+            vec![(c.clone(), 2.0), (a.clone(), 3.0)],
+            vec![(Arc::new((*b).clone()), 5.0), (c, 9.0), (a, 10.0)],
+            vec![(b, 1.0)],
+        ];
+        for entries in sequence {
+            let mut w = Workload::new();
+            for (q, wt) in entries {
+                w.add(q, wt);
+            }
+            let reference = BenefitMatrix::build(&e, &w, ColumnarCandidates.candidates(&e, &w));
+            let fresh = GreedyDesigner::new(&e, ColumnarCandidates, "DBD");
+            for budget in [400_000_000, 2_000_000_000] {
+                let expected = fresh.design(&w, budget);
+                for d in [&roomy, &tiny] {
+                    assert!(same_bits(&d.matrix(&w), &reference));
+                    assert_eq!(d.design(&w, budget), expected);
+                }
+            }
+        }
+        let idle = |d: &GreedyDesigner<'_, ColumnarEngine, ColumnarCandidates>| {
+            d.idle.lock().unwrap().len()
+        };
+        assert_eq!(idle(&roomy), 1, "the roomy cache is kept");
+        assert_eq!(idle(&tiny), 0, "the tiny cache is dropped after each call");
     }
 
     #[test]

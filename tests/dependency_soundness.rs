@@ -13,10 +13,17 @@
 //!   `D ∪ {s}` and `D ∖ {s}` is bit-identical;
 //! * the pruned matrix gives the same latencies, gains, costs, greedy and
 //!   `IlpSelector` selections, bit for bit, as a dense reference that
-//!   evaluates every cell ([`BenefitMatrix::build_unpruned`]).
+//!   evaluates every cell ([`BenefitMatrix::build_unpruned`]);
+//! * a [`GreedyDesigner`] driven through a sequence of workloads that
+//!   share, reweight and drop queries reads its what-if cache exactly:
+//!   each `matrix` equals [`BenefitMatrix::build`] cell for cell, each
+//!   design equals a fresh designer's, and two threads sharing the
+//!   designer get the same designs.
 
 use cliffguard::prelude::*;
 use proptest::prelude::*;
+use std::fmt::Debug;
+use std::sync::Arc;
 
 /// SplitMix64: a self-contained, reproducible stream per case.
 struct Rng(u64);
@@ -237,8 +244,118 @@ fn check_matrix_against_dense<E: PlanningEngine>(
     );
 }
 
+/// A sequence of 3–7 workloads over one pool of generated queries: each
+/// keeps a random subset of the pool in a random order with fresh
+/// weights, and sometimes holds an equal query behind a new `Arc`.
+fn workload_sequence(rng: &mut Rng, c: &Catalog) -> Vec<Workload> {
+    let pool: Vec<Arc<Query>> = (0..4 + rng.below(16))
+        .map(|_| Arc::new(query(rng, c)))
+        .collect();
+    (0..3 + rng.below(5))
+        .map(|_| {
+            let mut order: Vec<usize> = (0..pool.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i + 1));
+            }
+            let mut w = Workload::new();
+            for i in order {
+                if rng.below(3) == 0 {
+                    continue;
+                }
+                let q = match rng.below(8) {
+                    0 => Arc::new((*pool[i]).clone()),
+                    _ => Arc::clone(&pool[i]),
+                };
+                w.add(q, 1.0 + 20.0 * rng.unit());
+            }
+            if w.is_empty() {
+                w.add(Arc::clone(&pool[0]), 1.0);
+            }
+            w
+        })
+        .collect()
+}
+
+/// One designer through the whole sequence against the uncached
+/// reference, a fresh designer per workload, and the same designer shared
+/// by two threads that split the sequence.
+fn check_cache_against_reference<E, G>(rng: &mut Rng, e: &E, generator: G, sequence: &[Workload])
+where
+    E: PlanningEngine,
+    E::Design: PartialEq + Debug,
+    <E::Design as PhysicalDesign>::Structure: Debug,
+    G: CandidateGen<E> + Copy + Sync,
+{
+    let designer = GreedyDesigner::new(e, generator, "cached");
+    let mut designs = Vec::new();
+    for w in sequence {
+        let reference = BenefitMatrix::build(e, w, generator.candidates(e, w));
+        let m = designer.matrix(w);
+        prop_assert_eq!(&m.candidates, &reference.candidates);
+        prop_assert_eq!(&m.prices, &reference.prices);
+        prop_assert_eq!(m.cell_count(), reference.cell_count());
+        for c in 0..m.len() {
+            for q in 0..w.len() {
+                prop_assert_eq!(m.latency(c, q).to_bits(), reference.latency(c, q).to_bits());
+            }
+        }
+        let all: Vec<usize> = (0..m.len()).collect();
+        for set in [&[][..], &all[..]] {
+            prop_assert_eq!(
+                m.cost_of_set(set).to_bits(),
+                reference.cost_of_set(set).to_bits()
+            );
+        }
+        let total: u64 = reference.prices.iter().sum();
+        let budget = 1 + rng.next() % (total / 2 + 1);
+        let design = designer.design(w, budget);
+        let fresh = GreedyDesigner::new(e, generator, "fresh");
+        prop_assert_eq!(&design, &fresh.design(w, budget));
+        designs.push((budget, design));
+    }
+    let shared = GreedyDesigner::new(e, generator, "shared");
+    let split: Vec<(usize, E::Design)> = std::thread::scope(|s| {
+        let halves: Vec<_> = (0..2)
+            .map(|half| {
+                let shared = &shared;
+                let designs = &designs;
+                s.spawn(move || {
+                    (half..sequence.len())
+                        .step_by(2)
+                        .map(|i| (i, shared.design(&sequence[i], designs[i].0)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        halves
+            .into_iter()
+            .flat_map(|h| h.join().expect("a designing thread panicked"))
+            .collect()
+    });
+    prop_assert_eq!(split.len(), sequence.len());
+    for (i, design) in split {
+        prop_assert_eq!(&design, &designs[i].1, "workload {} on two threads", i);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cached_columnar_designer_matches_the_uncached_reference(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let e = ColumnarEngine::new(catalog(&mut rng));
+        let sequence = workload_sequence(&mut rng, e.catalog());
+        check_cache_against_reference(&mut rng, &e, ColumnarCandidates, &sequence);
+    }
+
+    #[test]
+    fn cached_row_designer_matches_the_uncached_reference(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let e = RowEngine::new(catalog(&mut rng));
+        let sequence = workload_sequence(&mut rng, e.catalog());
+        check_cache_against_reference(&mut rng, &e, RowCandidates, &sequence);
+    }
 
     #[test]
     fn independent_structures_never_move_a_columnar_latency(seed in 0u64..u64::MAX) {

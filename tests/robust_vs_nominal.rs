@@ -2,10 +2,14 @@
 //! designs degrade gracefully while the nominal designer's fall off the
 //! cliff — and with no drift, CliffGuard costs (almost) nothing. Also the
 //! contracts `CliffGuard::design` keeps with its nominal designer: Γ = 0
-//! returns the nominal design itself, and no design exceeds the budget.
+//! returns the nominal design itself, no design exceeds the budget, and
+//! on the neighborhood it sampled the final design's worst case never
+//! exceeds the nominal design's.
 
 use cliffguard::prelude::*;
+use proptest::prelude::*;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// A generated drifting log, cut into windows, with its catalog.
 fn generated(profile: WorkloadProfile, seed: u64) -> (Catalog, Vec<Workload>) {
@@ -160,5 +164,79 @@ fn cliffguard_never_returns_an_over_budget_design() {
         let (design, trace) = cg.design(w0, budget, &pool);
         assert!(design.price_bytes(engine.catalog()) <= budget, "Γ {gamma}");
         assert!(trace.faults > 0, "Γ {gamma}: the validation gate must fire");
+    }
+}
+
+/// The robust invariant on one input: the neighborhood the session sampled
+/// (redrawn from the same seed, plus W0) prices the final design's worst
+/// case at or below ExistingDesigner's (the nominal design of W0), and
+/// the session's trace starts and ends at exactly those two numbers.
+fn assert_never_worse_than_existing<E, D>(
+    engine: &E,
+    nominal: &D,
+    w0: &Workload,
+    pool: &[Arc<Query>],
+    gamma: f64,
+    budget: u64,
+) where
+    E: PlanningEngine,
+    D: NominalDesigner<E>,
+{
+    let metric = DeltaEuclidean::new(engine.catalog().column_count());
+    let config = CliffGuardConfig::new(gamma).with_seed(17);
+    let (robust, trace) =
+        CliffGuard::new(engine, nominal, metric, config.clone()).design(w0, budget, pool);
+    let mut neighborhood = NeighborhoodSampler::new(metric, pool.to_vec(), config.seed)
+        .sample_neighborhood(w0, gamma, config.n_samples);
+    prop_assert_eq!(neighborhood.len(), trace.samples);
+    if trace.degraded.is_some() || neighborhood.is_empty() {
+        // No descent ran: the session returned the nominal design as is.
+        prop_assert!(trace.worst_case_per_iter.is_empty());
+        return;
+    }
+    neighborhood.push(w0.clone());
+    let worst = |d: &E::Design| {
+        neighborhood
+            .iter()
+            .map(|w| engine.workload_cost(w, d).avg_ms)
+            .fold(0.0, f64::max)
+    };
+    let existing = worst(&nominal.design(w0, budget));
+    let cliffguard = worst(&robust);
+    prop_assert!(
+        cliffguard <= existing,
+        "Γ {gamma}, {budget} B: worst case {cliffguard} above Existing's {existing}"
+    );
+    let first = trace.worst_case_per_iter.first().expect("a descent ran");
+    let last = trace.worst_case_per_iter.last().expect("a descent ran");
+    prop_assert_eq!(first.to_bits(), existing.to_bits());
+    prop_assert_eq!(last.to_bits(), cliffguard.to_bits());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn cliffguard_never_exceeds_existing_on_its_sampled_neighborhood(
+        profile in 0usize..3,
+        seed in 0u64..1_000_000,
+        window in 1usize..6,
+        gamma_scale in 0usize..3,
+        budget in 0usize..3,
+    ) {
+        let profile = [WorkloadProfile::R1, WorkloadProfile::S1, WorkloadProfile::S2][profile];
+        let (catalog, windows) = generated(profile, seed);
+        let metric = DeltaEuclidean::new(catalog.column_count());
+        // Γ at ¼, 1 and 4 × the default rule's value for this log.
+        let gamma = GammaPolicy::AUTO.resolve(&consecutive_deltas(&metric, &windows))
+            * [0.25, 1.0, 4.0][gamma_scale];
+        let budget = [1u64 << 28, 1 << 32, 60 << 30][budget];
+        let (w0, pool) = (&windows[window], query_pool(&windows[window.saturating_sub(4)..window]));
+        let columnar = ColumnarEngine::new(catalog.clone());
+        let dbd = GreedyDesigner::new(&columnar, ColumnarCandidates, "DBD");
+        assert_never_worse_than_existing(&columnar, &dbd, w0, &pool, gamma, budget);
+        let row = RowEngine::new(catalog);
+        let advisor = GreedyDesigner::new(&row, RowCandidates, "advisor");
+        assert_never_worse_than_existing(&row, &advisor, w0, &pool, gamma, budget);
     }
 }

@@ -13,6 +13,7 @@ use cliffguard_serve::{run_design, testdata, RunOutcome, RunnerOptions};
 use serde::{map_get, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
+use std::process::Command;
 
 /// The CI fault matrix: the same three plans the `fault-matrix` job
 /// exports as `CLIFFGUARD_FAULTS` (keep in sync with
@@ -626,4 +627,103 @@ fn a_corrupt_catalog_is_refused_and_the_daemon_keeps_serving() {
         assert!(reason.contains("bad catalog"), "{what}: {reason}");
         reply("status");
     }
+}
+
+/// Where [`metrics_tape_child`] writes its replies.
+const METRICS_CHILD_OUT: &str = "CLIFFGUARD_METRICS_CHILD_OUT";
+
+/// The child half of
+/// [`metrics_replies_repeat_under_the_virtual_clock_but_for_wall_clock_histograms`]:
+/// one virtual-clock daemon with the metrics registry on, over two
+/// designs and a `metrics` frame, its replies written to the file
+/// [`METRICS_CHILD_OUT`] names. It runs alone in a process of its own,
+/// so no other test's sessions record into the registry.
+#[test]
+#[ignore = "a child process of metrics_replies_repeat_under_the_virtual_clock_but_for_wall_clock_histograms"]
+fn metrics_tape_child() {
+    let out = std::env::var_os(METRICS_CHILD_OUT).expect("the parent test names the output file");
+    let _telemetry = cliffguard_telemetry::install(cliffguard_telemetry::TelemetryConfig {
+        metrics: true,
+        ..Default::default()
+    })
+    .expect("metrics install");
+    let mut tape = tenant_tape();
+    tape.truncate(2);
+    tape.push(r#"{"op":"metrics"}"#.into());
+    std::fs::write(out, ServeHarness::new().run_tape(&tape)).expect("write the replies");
+}
+
+/// A `metrics` reply with every `*_ms` histogram cut to its count: those
+/// histograms time sessions, designer calls and epoch builds by the wall
+/// clock even under a virtual clock (DESIGN.md §12).
+fn without_wall_clock(reply: Value) -> (Value, usize) {
+    let mut timed = 0;
+    let Value::Map(mut reply) = reply else {
+        panic!("a reply is an object");
+    };
+    for (key, registry) in &mut reply {
+        let Value::Map(registry) = registry else {
+            continue;
+        };
+        if key != "registry" {
+            continue;
+        }
+        for (_, histograms) in registry.iter_mut().filter(|(k, _)| k == "histograms") {
+            let Value::Map(histograms) = histograms else {
+                panic!("histograms are an object");
+            };
+            for (name, h) in histograms.iter_mut().filter(|(k, _)| k.ends_with("_ms")) {
+                let count = map_get(h.as_map().expect("a histogram is an object"), "count").clone();
+                assert!(matches!(count, Value::U64(_)), "{name}: count {count:?}");
+                timed += usize::from(count != Value::U64(0));
+                *h = Value::Map(vec![("count".into(), count)]);
+            }
+        }
+    }
+    (Value::Map(reply), timed)
+}
+
+/// Under `--virtual-clock` every reply repeats byte for byte except the
+/// `metrics` reply's wall-clock `*_ms` histograms: two runs of one tape
+/// agree once those are cut to their counts.
+#[test]
+fn metrics_replies_repeat_under_the_virtual_clock_but_for_wall_clock_histograms() {
+    let run = |name: &str| {
+        let path = tmpdir(name);
+        let out = Command::new(std::env::current_exe().expect("the test binary"))
+            .args([
+                "metrics_tape_child",
+                "--exact",
+                "--ignored",
+                "--test-threads",
+                "1",
+            ])
+            .env(METRICS_CHILD_OUT, &path)
+            .output()
+            .expect("run the child");
+        assert!(out.status.success(), "child failed: {out:?}");
+        let replies = std::fs::read_to_string(&path).expect("the child's replies");
+        let _ = std::fs::remove_file(&path);
+        let mut timed = Vec::new();
+        let lines: Vec<String> = replies
+            .lines()
+            .zip(parse_output(&replies))
+            .map(|(line, reply)| match str_field(&reply, "op") == "metrics" {
+                true => {
+                    let (reply, n) = without_wall_clock(reply);
+                    timed.push(n);
+                    serde_json::to_string(&reply).expect("a value serializes")
+                }
+                false => line.to_string(),
+            })
+            .collect();
+        (lines, timed)
+    };
+    let (first, timed) = run("metrics-a");
+    assert_eq!(first.len(), 3, "two designs and one metrics reply");
+    assert!(
+        timed.len() == 1 && timed[0] >= 3,
+        "wall-clock histograms recorded: {timed:?}"
+    );
+    assert_eq!(first, run("metrics-b").0);
 }
