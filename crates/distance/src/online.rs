@@ -28,7 +28,7 @@ use crate::euclidean::quadratic_form;
 use crate::metric::ClauseMask;
 use crate::vector::ReprKey;
 use cliffguard_workload::Workload;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One sealed window: sorted `(representation, raw count)` support plus the
 /// window total.
@@ -58,15 +58,16 @@ impl WindowVector {
     /// mask: one representation key per entry, counts summed per key,
     /// support sorted by key. Integer weights keep the support exact.
     pub fn from_workload(workload: &Workload, mask: ClauseMask) -> Self {
-        let mut counts: HashMap<ReprKey, f64> = HashMap::new();
+        let mut counts: BTreeMap<ReprKey, f64> = BTreeMap::new();
         let mut total = 0.0;
         for (q, w) in workload.iter() {
             *counts.entry(ReprKey::union_of(q, mask)).or_insert(0.0) += w;
             total += w;
         }
-        let mut support: Vec<(ReprKey, f64)> = counts.into_iter().collect();
-        support.sort_by(|a, b| a.0.cmp(&b.0));
-        WindowVector { support, total }
+        WindowVector {
+            support: counts.into_iter().collect(),
+            total,
+        }
     }
 
     /// This window's normalized coordinate for `key` (0 when absent).

@@ -9,7 +9,7 @@
 
 use crate::metric::ClauseMask;
 use cliffguard_workload::{ColumnSet, Query, Workload};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A query's representation coordinate: either the masked union of its
 /// clause column sets (`δ_euclidean`) or the per-clause 4-tuple
@@ -84,24 +84,21 @@ pub fn diff_support<F>(w1: &Workload, w2: &Workload, mut repr: F) -> Vec<(ReprKe
 where
     F: FnMut(&Query) -> ReprKey,
 {
-    let mut diff: HashMap<ReprKey, f64> = HashMap::new();
+    // Key order, not hash order: float summation in the quadratic form
+    // must not depend on how the keys were stored.
+    let mut diff: BTreeMap<ReprKey, f64> = BTreeMap::new();
     for (q, f) in w1.normalized() {
         *diff.entry(repr(q)).or_insert(0.0) += f;
     }
     for (q, f) in w2.normalized() {
         *diff.entry(repr(q)).or_insert(0.0) -= f;
     }
-    let mut out: Vec<(ReprKey, f64)> = diff
-        .into_iter()
+    diff.into_iter()
         .filter_map(|(k, d)| {
             let a = d.abs();
             (a > 1e-15).then_some((k, a))
         })
-        .collect();
-    // Deterministic order: float summation in the quadratic form must not
-    // depend on hash-map iteration order.
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
+        .collect()
 }
 
 #[cfg(test)]

@@ -14,10 +14,12 @@
 //!   a reused buffer until their terminator (or [`LogStream::finish`])
 //!   arrives.
 //! * **Line-compatible with `import_log`**: both classify lines with one
-//!   record grammar (`logio::split_record`) and key their statement caches
-//!   by text, so for valid UTF-8 input the per-line accept/skip decisions
-//!   are identical and the streaming and batch pipelines agree on every
-//!   record.
+//!   record grammar (`logio::split_record`, which reads the usual
+//!   `digits<TAB>SQL` line with an exact early return) and key their
+//!   statement caches by text under one keyed hash
+//!   (`logio::StatementKeys`), so for valid UTF-8 input the per-line
+//!   accept/skip decisions are identical and the streaming and batch
+//!   pipelines agree on every record.
 //! * **Allocation-amortized**: repeated statement texts hit a bounded
 //!   statement cache (text → parse outcome) and re-emit their interned
 //!   [`QueryId`] without lexing, parsing, or allocating. Logs are dominated
@@ -33,13 +35,11 @@
 //! retained windows once the table exceeds its capacity bound.
 
 use crate::interner::{QueryId, WorkloadInterner};
-use crate::logio::{split_record, Record};
+use crate::logio::{split_record, Record, StatementKeys};
 use crate::parser::parse_query;
 use crate::query::Query;
 use crate::resolve::NameResolver;
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Default bound on distinct statement texts kept in the parse cache.
@@ -313,89 +313,12 @@ fn strip_cr(line: &[u8]) -> &[u8] {
     }
 }
 
-/// The statement cache's hash keys, drawn from [`RandomState`] once per
-/// stream.
-///
-/// The cache is keyed by log text, which the daemon's tenants supply, and
-/// ingest runs on the daemon's one request loop; without the keys no one
-/// can choose texts that collide. The hash is one folded 64×64→128-bit
-/// multiply per 8 bytes of text, a fraction of SipHash-1-3's cost on
-/// statement-length keys. The cache is probed, filled and cleared but never
-/// iterated, so no output depends on the keys.
-struct StatementKeys {
-    seed: u64,
-    multiplier: u64,
-}
-
-impl std::fmt::Debug for StatementKeys {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The keys stay out of debug output.
-        f.debug_struct("StatementKeys").finish_non_exhaustive()
-    }
-}
-
-impl StatementKeys {
-    fn random() -> Self {
-        let keys = RandomState::new();
-        Self {
-            seed: keys.hash_one(0u8),
-            multiplier: keys.hash_one(1u8) | 1,
-        }
-    }
-}
-
-impl BuildHasher for StatementKeys {
-    type Hasher = StatementHasher;
-
-    fn build_hasher(&self) -> StatementHasher {
-        StatementHasher {
-            hash: self.seed,
-            multiplier: self.multiplier,
-        }
-    }
-}
-
-struct StatementHasher {
-    hash: u64,
-    multiplier: u64,
-}
-
-impl StatementHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        let product = u128::from(self.hash ^ word) * u128::from(self.multiplier);
-        self.hash = product as u64 ^ (product >> 64) as u64;
-    }
-}
-
-impl Hasher for StatementHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // The length goes first, so the last word's zero padding cannot
-        // make two texts of different lengths read the same.
-        self.mix(bytes.len() as u64);
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::logio::import_log;
     use crate::resolve::SimpleResolver;
+    use std::hash::BuildHasher;
 
     fn resolver() -> SimpleResolver {
         let mut r = SimpleResolver::new();
@@ -497,16 +420,51 @@ mod tests {
     #[test]
     fn statement_hash_is_keyed_per_stream() {
         let (a, b) = (LogStream::new(), LogStream::new());
+        let (keys, other) = (a.cache.hasher(), b.cache.hasher());
         let text = "SELECT amount FROM sales WHERE region = 'w'";
         assert_ne!(
-            a.cache.hasher().hash_one(text),
-            b.cache.hasher().hash_one(text),
+            keys.hash_one(text),
+            other.hash_one(text),
             "an unkeyed hash gives every stream the same buckets"
         );
         // Zero padding must not alias texts of different lengths.
-        let keys = a.cache.hasher();
         for (x, y) in [("x", "x\0"), ("", "\0")] {
             assert_ne!(keys.hash_one(x), keys.hash_one(y), "{x:?} vs {y:?}");
+        }
+        // Around each edge of the 8-byte words and 16-byte steps: every
+        // one-byte change tells two texts apart under one key, texts of
+        // different lengths differ, and two streams hash each text apart.
+        let lengths = [0, 7, 8, 15, 16, 17, 31, 32, 33];
+        let texts: Vec<String> = lengths
+            .iter()
+            .map(|&n| {
+                "SELECT id, amount FROM sales"
+                    .chars()
+                    .cycle()
+                    .take(n)
+                    .collect()
+            })
+            .collect();
+        for (i, text) in texts.iter().enumerate() {
+            let hash = keys.hash_one(text.as_str());
+            assert_ne!(hash, other.hash_one(text.as_str()), "{} bytes", text.len());
+            for shorter in &texts[..i] {
+                assert_ne!(
+                    hash,
+                    keys.hash_one(shorter.as_str()),
+                    "{text:?} vs {shorter:?}"
+                );
+            }
+            for at in 0..text.len() {
+                let mut changed = text.clone().into_bytes();
+                changed[at] ^= 0x01;
+                let changed = String::from_utf8(changed).expect("ASCII text");
+                assert_ne!(
+                    hash,
+                    keys.hash_one(changed.as_str()),
+                    "{text:?} vs {changed:?}"
+                );
+            }
         }
     }
 
